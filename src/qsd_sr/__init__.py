@@ -36,7 +36,6 @@ from .eigensolver import (
     dominant_eigenvalue,
     eigen_bracket,
     eigenfunction,
-    eigenvalue_monotonicity_check,
 )
 from .qsd import (
     MomentSeries,
@@ -57,12 +56,12 @@ from .asymptotics import (
     lambda_order1,
     lambda_order2,
     lambda_order3,
-    pdf_approx,
     whittaker_expansion3,
 )
 from .oracle import (
     EmpiricalLaw,
     GridSolution,
+    index_derivative_check,
     integral_identity_check,
     norm_identity_check,
     simulate_killed_sr,
@@ -96,10 +95,10 @@ __all__ = [
     "dominant_eigenvalue",
     "eigen_bracket",
     "eigenfunction",
-    "eigenvalue_monotonicity_check",
     "exp_integral_e1",
     "exp_scaled_e1",
     "gamma_cx",
+    "index_derivative_check",
     "index_derivative_identity",
     "integral_identity_check",
     "lambda_order1",
@@ -112,7 +111,6 @@ __all__ = [
     "moments",
     "norm_identity_check",
     "pdf",
-    "pdf_approx",
     "simulate_killed_sr",
     "speed_density",
     "stationary_cdf",

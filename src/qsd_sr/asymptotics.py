@@ -30,15 +30,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ThresholdTooSmallError
-from .specfun import (
-    ModelParams,
-    SpectralIndex,
-    WhittakerIndex,
-    exp_scaled_e1,
-    lower_bound_l,
-    meijer_g_special,
-    whittaker_w_scaled,
-)
+from .qsd import normalization
+from .specfun import ModelParams, SpectralIndex, exp_scaled_e1, meijer_g_special
 
 __all__ = [
     "ApproxSolution",
@@ -48,7 +41,6 @@ __all__ = [
     "whittaker_expansion3",
     "index_derivative_identity",
     "build_approx",
-    "pdf_approx",
 ]
 
 
@@ -63,7 +55,34 @@ class ApproxSolution:
     denom: float
 
     def pdf(self, x: float) -> float:
-        return _pdf_bracket(self.order, x, self.lambda_approx, self.params) / self.denom
+        """Order-k density (2/(mu^2 x)) e^{-2/(mu^2 x)} {1/x + lam + ...} / D,
+        zero outside (0, A]."""
+        A, mu2 = self.params.A, self.params.mu2
+        if x <= 0.0 or x > A:
+            return 0.0
+        u = 2.0 / (mu2 * x)
+        pre = u * math.exp(-u) if u < 745.0 else 0.0
+        return pre * _bracket(self.order, x, self.lambda_approx, mu2) / self.denom
+
+
+def _expansion_coefficients(u: float):
+    """The kernels of the lam^2 and lam^3 terms, (L(u), G(u) - 2 L(u)), with
+    G evaluated once and L(u) = e^u E1(u) - 1 + u G(u) built from it."""
+    gee = meijer_g_special(u)
+    ell = exp_scaled_e1(u) - 1.0 + u * gee
+    return ell, gee - 2.0 * ell
+
+
+def _bracket(order: int, x: float, lam: float, mu2: float) -> float:
+    """{1/x + lam + (2/mu^2) L lam^2 + (2/mu^2)^2 [G - 2L] lam^3} at
+    u = 2/(mu^2 x), truncated after the lam^order term."""
+    bracket = 1.0 / x + lam
+    if order >= 2:
+        ell, cubic = _expansion_coefficients(2.0 / (mu2 * x))
+        bracket += 2.0 / mu2 * ell * lam * lam
+        if order >= 3:
+            bracket += (2.0 / mu2) ** 2 * cubic * lam**3
+    return bracket
 
 
 def lambda_order1(params: ModelParams) -> float:
@@ -76,7 +95,7 @@ def lambda_order2(params: ModelParams) -> float:
     truncation.  Raises :class:`ThresholdTooSmallError` when the discriminant
     1 - (8/(mu^2 A)) L(2/(mu^2 A)) is negative (no real solutions)."""
     mu2, A = params.mu2, params.A
-    ell = lower_bound_l(2.0 / (mu2 * A))
+    ell, _ = _expansion_coefficients(2.0 / (mu2 * A))
     disc = 1.0 - 8.0 / (mu2 * A) * ell
     if disc < 0.0:
         raise ThresholdTooSmallError(
@@ -84,16 +103,6 @@ def lambda_order2(params: ModelParams) -> float:
             f"A={A} (discriminant {disc:.6g})"
         )
     return -0.25 * mu2 * (1.0 - math.sqrt(disc)) / ell
-
-
-def _cubic_coefficients(params: ModelParams):
-    mu2, A = params.mu2, params.A
-    u = 2.0 / (mu2 * A)
-    ell = lower_bound_l(u)
-    gee = meijer_g_special(u)
-    c3 = (2.0 / mu2) ** 2 * (gee - 2.0 * ell)
-    c2 = 2.0 / mu2 * ell
-    return c3, c2, 1.0, 1.0 / A
 
 
 def lambda_order3(params: ModelParams) -> float:
@@ -105,7 +114,9 @@ def lambda_order3(params: ModelParams) -> float:
     leading coefficient is positive for large A; uniqueness of the real root
     is decided by the discriminant, not the coefficient sign.
     """
-    c3, c2, c1, c0 = _cubic_coefficients(params)
+    mu2, A = params.mu2, params.A
+    ell, cubic = _expansion_coefficients(2.0 / (mu2 * A))
+    c3, c2, c1, c0 = (2.0 / mu2) ** 2 * cubic, 2.0 / mu2 * ell, 1.0, 1.0 / A
     if c3 == 0.0:
         raise ThresholdTooSmallError(
             f"cubic eigenvalue correction degenerates at mu={params.mu}, A={params.A}"
@@ -141,16 +152,7 @@ def whittaker_expansion3(x: float, lam: float, params: ModelParams) -> float:
     if not (x > 0.0):
         raise DomainError(f"expansion argument must be positive, got {x}")
     mu2 = params.mu2
-    u = 2.0 / (mu2 * x)
-    ell = lower_bound_l(u)
-    gee = meijer_g_special(u)
-    bracket = (
-        1.0 / x
-        + lam
-        + (2.0 / mu2) * ell * lam * lam
-        + (2.0 / mu2) ** 2 * (gee - 2.0 * ell) * lam**3
-    )
-    return 2.0 / mu2 * math.exp(-1.0 / (mu2 * x)) * bracket
+    return 2.0 / mu2 * math.exp(-1.0 / (mu2 * x)) * _bracket(3, x, lam, mu2)
 
 
 def index_derivative_identity(k: int, x: float) -> float:
@@ -166,41 +168,15 @@ def index_derivative_identity(k: int, x: float) -> float:
     raise DomainError(f"derivative order must be 1, 2 or 3, got {k}")
 
 
-def _pdf_bracket(order: int, x: float, lam: float, params: ModelParams) -> float:
-    """Un-normalized order-k density approximation
-    (2/(mu^2 x)) e^{-2/(mu^2 x)} { 1/x + lam + ... }, zero outside (0, A]."""
-    A, mu2 = params.A, params.mu2
-    if x <= 0.0 or x > A:
-        return 0.0
-    u = 2.0 / (mu2 * x)
-    bracket = 1.0 / x + lam
-    if order >= 2:
-        bracket += 2.0 / mu2 * lower_bound_l(u) * lam * lam
-    if order >= 3:
-        bracket += (2.0 / mu2) ** 2 * (meijer_g_special(u) - 2.0 * lower_bound_l(u)) * lam**3
-    t = -u
-    pre = u * math.exp(t) if t > -745.0 else 0.0
-    return pre * bracket
+# order -> eigenvalue approximation; the one dispatch for every order-k caller
+LAMBDA_BY_ORDER = {1: lambda_order1, 2: lambda_order2, 3: lambda_order3}
 
 
 def build_approx(params: ModelParams, order: int) -> ApproxSolution:
     """Assemble the order-1/2/3 approximate solution (eigenvalue plus the
     exact-law normalization denominator evaluated at that eigenvalue)."""
-    if order == 1:
-        lam = lambda_order1(params)
-    elif order == 2:
-        lam = lambda_order2(params)
-    elif order == 3:
-        lam = lambda_order3(params)
-    else:
+    if order not in LAMBDA_BY_ORDER:
         raise DomainError(f"approximation order must be 1, 2 or 3, got {order}")
-    se = SpectralIndex.from_lambda(min(lam, 0.0), params.mu)
-    z_a = 2.0 / (params.mu2 * params.A)
-    denom = math.exp(-z_a) * whittaker_w_scaled(WhittakerIndex(0, se.b), z_a)
+    lam = LAMBDA_BY_ORDER[order](params)
+    denom = normalization(params, SpectralIndex.from_lambda(min(lam, 0.0), params.mu))
     return ApproxSolution(order=order, lambda_approx=lam, params=params, denom=denom)
-
-
-def pdf_approx(order: int, x: float, params: ModelParams) -> float:
-    """Order-k approximate density at a single point.  For grid evaluation
-    prefer :func:`build_approx`, which solves for the eigenvalue once."""
-    return build_approx(params, order).pdf(x)

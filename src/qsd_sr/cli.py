@@ -28,14 +28,8 @@ from scipy.integrate import quad
 
 from . import asymptotics, oracle, qsd
 from .eigensolver import dominant_eigenvalue
-from .errors import QsdError, ThresholdTooSmallError
-from .specfun import (
-    ModelParams,
-    WhittakerIndex,
-    exp_scaled_e1,
-    meijer_g_special,
-    whittaker_w,
-)
+from .errors import DomainError, QsdError, ThresholdTooSmallError
+from .specfun import ModelParams, exp_scaled_e1, meijer_g_special
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -66,6 +60,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _emit(text, out_path):
+    """Write an artifact to ``out_path``, or to stdout when it is not set."""
+    if out_path:
+        with open(out_path, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_table(columns, rows, fmt, out_path, warnings=()):
     if fmt == "json":
         doc = {"columns": list(columns), "rows": [[float(v) for v in r] for r in rows]}
@@ -76,40 +79,32 @@ def _write_table(columns, rows, fmt, out_path, warnings=()):
         lines = [",".join(columns)]
         lines += [",".join(_fmt(v) for v in r) for r in rows]
         text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, out_path)
 
 
-def _grid(args, A):
-    xmin = 0.0 if args.xmin is None else args.xmin
-    xmax = A if args.xmax is None else args.xmax
-    n = args.grid
-    if n < 2 or xmax <= xmin:
-        raise QsdError(f"bad grid specification [{xmin}, {xmax}] with {n} points")
-    return [xmin + (xmax - xmin) * i / (n - 1) for i in range(n)]
+def _neg_lambda_row(params):
+    """[-lam, -lam*, -lam**, -lam***] at ``params``; nan for an order whose
+    truncation has no admissible root."""
+    row = [-dominant_eigenvalue(params).lam]
+    for lambda_order in asymptotics.LAMBDA_BY_ORDER.values():
+        try:
+            row.append(-lambda_order(params))
+        except ThresholdTooSmallError:
+            row.append(math.nan)
+    return row
 
 
 def cmd_table(args) -> int:
-    params_list = [ModelParams(mu=args.mu, A=a) for a in (args.A or DEFAULT_THRESHOLDS)]
     rows = []
     mismatches = []
-    for p in params_list:
-        lam = dominant_eigenvalue(p).lam
-        approxes = []
-        for order in (1, 2, 3):
-            try:
-                approxes.append(-_lambda_order(order, p))
-            except ThresholdTooSmallError:
-                approxes.append(math.nan)
-        rows.append((p.A, -lam, *approxes))
+    for p in args.params:
+        row = _neg_lambda_row(p)
+        rows.append((p.A, *row))
         key = int(p.A) if float(p.A).is_integer() else None
         if args.mu == 1.0 and key in REFERENCE_TABLE:
             ref = float(REFERENCE_TABLE[key][0])
-            if abs(-lam - ref) > args.tol:
-                mismatches.append((p.A, -lam, ref))
+            if abs(row[0] - ref) > args.tol:
+                mismatches.append((p.A, row[0], ref))
     columns = ["A", "neg_lambda", "neg_lambda_order1", "neg_lambda_order2",
                "neg_lambda_order3"]
     if args.format == "json":
@@ -122,11 +117,7 @@ def cmd_table(args) -> int:
         for r in rows:
             lines.append(",".join([f"{r[0]:g}"] + [f"{v:.12f}" for v in r[1:]]))
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out)
     if mismatches:
         for a, got, ref in mismatches:
             print(f"mismatch at A={a:g}: computed {got:.12f}, reference {ref:.12f}", file=sys.stderr)
@@ -134,36 +125,20 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _lambda_order(order, params):
-    return (
-        asymptotics.lambda_order1(params)
-        if order == 1
-        else asymptotics.lambda_order2(params)
-        if order == 2
-        else asymptotics.lambda_order3(params)
-    )
+# grid command -> (exact-law function, column name)
+_LAW = {"pdf": (qsd.pdf, "q"), "cdf": (qsd.cdf, "Q")}
 
 
-def cmd_pdf(args) -> int:
-    params = ModelParams(mu=args.mu, A=args.A[-1] if args.A else 20.0)
-    sol = qsd.build_solution(params, tol=args.tol)
-    xs = _grid(args, params.A)
-    rows = [(x, qsd.pdf(x, sol)) for x in xs]
-    _write_table(("x", "q"), rows, args.format, args.out)
-    return EXIT_OK
-
-
-def cmd_cdf(args) -> int:
-    params = ModelParams(mu=args.mu, A=args.A[-1] if args.A else 20.0)
-    sol = qsd.build_solution(params, tol=args.tol)
-    xs = _grid(args, params.A)
-    rows = [(x, qsd.cdf(x, sol)) for x in xs]
-    _write_table(("x", "Q"), rows, args.format, args.out)
+def cmd_law(args) -> int:
+    fn, column = _LAW[args.command]
+    sol = qsd.build_solution(args.params[-1], tol=args.tol)
+    rows = [(x, fn(x, sol)) for x in args.xs]
+    _write_table(("x", column), rows, args.format, args.out)
     return EXIT_OK
 
 
 def cmd_approx(args) -> int:
-    params = ModelParams(mu=args.mu, A=args.A[-1] if args.A else 20.0)
+    params = args.params[-1]
     sol = qsd.build_solution(params, tol=args.tol)
     orders = (args.order,) if args.order else (1, 2, 3)
     approx = {}
@@ -173,14 +148,13 @@ def cmd_approx(args) -> int:
             approx[k] = asymptotics.build_approx(params, k)
         except ThresholdTooSmallError as exc:
             warnings.append(f"order-{k} approximation unavailable: {exc}")
-    xs = _grid(args, params.A)
     columns = ["x", "q"]
     for k in sorted(approx):
         columns.append(f"q_approx{k}")
     for k in sorted(approx):
         columns.append(f"abs_err{k}")
     rows = []
-    for x in xs:
+    for x in args.xs:
         q = qsd.pdf(x, sol)
         qa = [approx[k].pdf(x) for k in sorted(approx)]
         rows.append((x, q, *qa, *[abs(q - v) for v in qa]))
@@ -208,13 +182,11 @@ def _check(name, group, residual, tolerance, detail=""):
 
 def _validate_exact(tol):
     checks = []
+    names = ("eigenvalue", "lambda_order1", "lambda_order2", "lambda_order3")
     for a, refs in REFERENCE_TABLE.items():
-        p = ModelParams(mu=1.0, A=float(a))
-        lam = dominant_eigenvalue(p).lam
-        checks.append(_check(f"eigenvalue_A{a}", "exact", abs(-lam - float(refs[0])), tol))
-        for order, ref in zip((1, 2, 3), refs[1:]):
-            val = -_lambda_order(order, p)
-            checks.append(_check(f"lambda_order{order}_A{a}", "exact", abs(val - float(ref)), 1e-9))
+        row = _neg_lambda_row(ModelParams(mu=1.0, A=float(a)))
+        for name, val, ref, t in zip(names, row, refs, (tol, 1e-9, 1e-9, 1e-9)):
+            checks.append(_check(f"{name}_A{a}", "exact", abs(val - float(ref)), t))
     for mu in (0.5, 1.0, 1.5):
         for a in (5.0, 20.0, 100.0):
             p = ModelParams(mu=mu, A=a)
@@ -240,33 +212,12 @@ def _validate_identities():
         checks.append(_check(f"integral_identity_b{b}_z{z}", "identities", res, 1e-8))
     for k in (1, 2, 3):
         for x in (0.5, 2.0, 10.0):
-            closed = asymptotics.index_derivative_identity(k, x)
-            numeric = _numeric_index_derivative(k, x)
-            checks.append(
-                _check(
-                    f"index_derivative_k{k}_x{x:g}",
-                    "identities",
-                    abs(numeric - closed) / abs(closed),
-                    1e-5,
-                )
-            )
+            res = oracle.index_derivative_check(k, x)
+            checks.append(_check(f"index_derivative_k{k}_x{x:g}", "identities", res, 1e-5))
     x = 2.0
     alt, _ = quad(lambda y: exp_scaled_e1(y) / y, x, math.inf, epsabs=1e-12, epsrel=1e-11)
     checks.append(_check("meijer_g_tail_form_x2", "identities", abs(meijer_g_special(x) - alt), 1e-9))
     return checks
-
-
-def _numeric_index_derivative(k, x, h0=1e-2):
-    def deriv(h):
-        w = [whittaker_w(WhittakerIndex(1, 0.5 + j * h), x) for j in (-2, -1, 0, 1, 2)]
-        if k == 1:
-            return (w[3] - w[1]) / (2.0 * h)
-        if k == 2:
-            return (w[3] - 2.0 * w[2] + w[1]) / (h * h)
-        return (w[4] - 2.0 * w[3] + 2.0 * w[1] - w[0]) / (2.0 * h**3)
-
-    d1, d2 = deriv(h0), deriv(h0 / 2.0)
-    return (4.0 * d2 - d1) / 3.0
 
 
 def _validate_sl(n_grid=20000):
@@ -343,12 +294,7 @@ def cmd_validate(args) -> int:
         "checks": checks,
         "n_failed": len(failed),
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(report, indent=2) + "\n", args.out)
     if failed:
         for c in failed:
             print(
@@ -377,9 +323,9 @@ def build_parser() -> _Parser:
 
     t = sub.add_parser("table", help="eigenvalue table with order-1/2/3 approximations")
     _add_common(t)
-    t.set_defaults(fn=cmd_table, default_tol=1e-10)
+    t.set_defaults(fn=cmd_table, default_tol=1e-10, default_A=DEFAULT_THRESHOLDS)
 
-    for name, fn in (("pdf", cmd_pdf), ("cdf", cmd_cdf), ("approx", cmd_approx)):
+    for name, fn in (("pdf", cmd_law), ("cdf", cmd_law), ("approx", cmd_approx)):
         sp = sub.add_parser(name, help=f"tabulate {name} on a grid")
         _add_common(sp)
         sp.add_argument("--grid", type=int, default=1000, help="number of grid points")
@@ -388,7 +334,7 @@ def build_parser() -> _Parser:
         if name == "approx":
             sp.add_argument("--order", type=int, choices=(1, 2, 3), default=None,
                             help="single approximation order (default: all three)")
-        sp.set_defaults(fn=fn, default_tol=1e-13)
+        sp.set_defaults(fn=fn, default_tol=1e-13, default_A=(20.0,))
 
     v = sub.add_parser("validate", help="run verification suites")
     _add_common(v)
@@ -398,7 +344,7 @@ def build_parser() -> _Parser:
     v.add_argument("--paths", type=int, default=200000)
     v.add_argument("--dt", type=float, default=1e-3)
     v.add_argument("--horizon", type=float, default=18.0)
-    v.set_defaults(fn=cmd_validate, default_tol=1e-10)
+    v.set_defaults(fn=cmd_validate, default_tol=1e-10, default_A=(20.0,))
     return ap
 
 
@@ -409,10 +355,16 @@ def main(argv=None) -> int:
         args.tol = args.default_tol
     elif not (args.tol >= 0.0 and math.isfinite(args.tol)):
         ap.error(f"--tol must be a nonnegative finite number, got {args.tol}")
-    if args.A is not None and any(a <= 0.0 for a in args.A):
-        ap.error("--A must be positive")
-    if args.mu == 0.0:
-        ap.error("--mu must be nonzero")
+    try:
+        args.params = [ModelParams(mu=args.mu, A=a) for a in (args.A or args.default_A)]
+    except DomainError as exc:
+        ap.error(str(exc))
+    if "grid" in args:
+        xmin = 0.0 if args.xmin is None else args.xmin
+        xmax = args.params[-1].A if args.xmax is None else args.xmax
+        if not (args.grid >= 2 and -math.inf < xmin < xmax < math.inf):
+            ap.error(f"bad grid specification [{xmin}, {xmax}] with {args.grid} points")
+        args.xs = [xmin + (xmax - xmin) * i / (args.grid - 1) for i in range(args.grid)]
     try:
         return args.fn(args)
     except QsdError as exc:

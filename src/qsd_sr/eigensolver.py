@@ -31,7 +31,6 @@ __all__ = [
     "eigen_bracket",
     "dominant_eigenvalue",
     "eigenfunction",
-    "eigenvalue_monotonicity_check",
 ]
 
 DEFAULT_TOL = 1e-13
@@ -168,14 +167,3 @@ def eigenfunction(x: float, se: SpectralIndex, params: ModelParams) -> float:
     z = 2.0 / (params.mu2 * x)
     return whittaker_w_scaled(WhittakerIndex(1, se.b), z)
 
-
-def eigenvalue_monotonicity_check(params: ModelParams, A_grid) -> bool:
-    """True iff the dominant eigenvalue is strictly increasing along the
-    strictly increasing grid of thresholds (test utility, mu from params)."""
-    grid = [float(a) for a in A_grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError("A_grid must be strictly increasing")
-    lams = [
-        dominant_eigenvalue(ModelParams(mu=params.mu, A=a)).lam for a in grid
-    ]
-    return all(l2 > l1 for l1, l2 in zip(lams, lams[1:]))

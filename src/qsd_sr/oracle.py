@@ -10,7 +10,8 @@ kernel it is checking against:
 * a Monte-Carlo simulator of the killed diffusion dR = dt + mu R dB with
   deterministic per-chunk substreams, and
 * quadrature residuals for the integral identity behind the cdf formula and
-  for the eigenfunction-norm identity.
+  for the eigenfunction-norm identity, and a finite-difference residual for
+  the index-derivative identities behind the large-threshold expansion.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
+from .asymptotics import index_derivative_identity
 from .eigensolver import eigenfunction
 from .errors import ConvergenceError, DomainError, NoSurvivorsError
 from .specfun import (
@@ -40,6 +42,7 @@ __all__ = [
     "sturm_liouville_eigen",
     "simulate_killed_sr",
     "integral_identity_check",
+    "index_derivative_check",
     "norm_identity_check",
 ]
 
@@ -48,6 +51,12 @@ __all__ = [
 # matrix stays well scaled (deeper truncation poisons the factorization
 # with subnormal-range blocks).
 _LEFT_EXPONENT_CAP = 80.0
+
+# Monte Carlo: paths are split into this many chunks, one random substream
+# each, so the chunk count fixes the stream layout (and every sample); the
+# empirical law is histogrammed on this many equal bins over [0, A].
+MC_CHUNKS = 64
+MC_BINS = 200
 
 
 @dataclass(frozen=True)
@@ -169,8 +178,6 @@ def simulate_killed_sr(
     T: float,
     n_paths: int,
     seed: int,
-    n_bins: int = 200,
-    n_chunks: int = 64,
 ) -> EmpiricalLaw:
     """Euler-Maruyama simulation of the killed diffusion.
 
@@ -189,7 +196,7 @@ def simulate_killed_sr(
     if n_paths < 1:
         raise DomainError("n_paths must be positive")
     n_steps = int(round(T / dt))
-    n_chunks = max(1, min(n_chunks, n_paths))
+    n_chunks = min(MC_CHUNKS, n_paths)
     sizes = [n_paths // n_chunks + (1 if c < n_paths % n_chunks else 0) for c in range(n_chunks)]
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
 
@@ -210,7 +217,7 @@ def simulate_killed_sr(
             f"no surviving paths at horizon T={T} (n_paths={n_paths}); "
             "increase n_paths or reduce T"
         )
-    edges = np.linspace(0.0, params.A, n_bins + 1)
+    edges = np.linspace(0.0, params.A, MC_BINS + 1)
     counts, _ = np.histogram(survivors, bins=edges)
     return EmpiricalLaw(
         bin_edges=edges,
@@ -245,6 +252,26 @@ def integral_identity_check(b: complex, z: float) -> float:
     )
     rhs = math.exp(-0.5 * z) * whittaker_w(WhittakerIndex(0, b), z)
     return abs(lhs - rhs)
+
+
+def index_derivative_check(k: int, x: float) -> float:
+    """Relative residual of the closed-form k-th b-derivative of W_{1,b}(x)
+    at b = 1/2 (:func:`index_derivative_identity`) against centered finite
+    differences in b with steps 1e-2 and 5e-3, combined by Richardson
+    extrapolation."""
+    closed = index_derivative_identity(k, x)
+
+    def stencil(h):
+        w = [whittaker_w(WhittakerIndex(1, 0.5 + j * h), x) for j in (-2, -1, 0, 1, 2)]
+        if k == 1:
+            return (w[3] - w[1]) / (2.0 * h)
+        if k == 2:
+            return (w[3] - 2.0 * w[2] + w[1]) / (h * h)
+        return (w[4] - 2.0 * w[3] + 2.0 * w[1] - w[0]) / (2.0 * h**3)
+
+    d1, d2 = stencil(1e-2), stencil(1e-2 / 2.0)
+    numeric = (4.0 * d2 - d1) / 3.0
+    return abs(numeric - closed) / abs(closed)
 
 
 def norm_identity_check(params: ModelParams, se: SpectralIndex, h_scale: float = 1e-6) -> float:

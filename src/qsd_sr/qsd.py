@@ -36,6 +36,10 @@ __all__ = [
 
 MAX_MOMENT_ORDER = 50
 
+# mode(): initial scan resolution and how often it may be doubled
+MODE_SCAN_NODES = 256
+MODE_MAX_DOUBLINGS = 6
+
 
 @dataclass(frozen=True)
 class QsdSolution:
@@ -62,16 +66,22 @@ class MomentSeries:
         return len(self.moments)
 
 
-def build_solution(params: ModelParams, tol: float = DEFAULT_TOL) -> QsdSolution:
-    """Solve the eigenvalue problem and assemble the normalization."""
-    eig = dominant_eigenvalue(params, tol=tol)
-    se = SpectralIndex.from_lambda(eig.lam, params.mu)
+def normalization(params: ModelParams, se: SpectralIndex) -> float:
+    """Normalization denominator D at the spectral index ``se``; raises
+    :class:`ConvergenceError` unless it is positive."""
     z_a = 2.0 / (params.mu2 * params.A)
     # D = exp(-z_A/2) W_{0,b}(z_A) = exp(-z_A) * scaled W
     denom = math.exp(-z_a) * whittaker_w_scaled(WhittakerIndex(0, se.b), z_a)
     if not (denom > 0.0):
         raise ConvergenceError(f"normalization denominator must be positive, got {denom}")
-    return QsdSolution(params=params, se=se, denom=denom, eigen=eig)
+    return denom
+
+
+def build_solution(params: ModelParams, tol: float = DEFAULT_TOL) -> QsdSolution:
+    """Solve the eigenvalue problem and assemble the normalization."""
+    eig = dominant_eigenvalue(params, tol=tol)
+    se = SpectralIndex.from_lambda(eig.lam, params.mu)
+    return QsdSolution(params=params, se=se, denom=normalization(params, se), eigen=eig)
 
 
 def pdf(x: float, sol: QsdSolution) -> float:
@@ -89,7 +99,8 @@ def pdf(x: float, sol: QsdSolution) -> float:
 
 
 def cdf(x: float, sol: QsdSolution) -> float:
-    """Distribution function Q(x): 0 for x <= 0, 1 for x >= A."""
+    """Distribution function Q(x): 0 for x <= 0, 1 for x >= A.  Clamped to
+    at most 1, which rounding in the closed form overshoots just below A."""
     A, mu2 = sol.params.A, sol.params.mu2
     if x <= 0.0:
         return 0.0
@@ -99,7 +110,7 @@ def cdf(x: float, sol: QsdSolution) -> float:
     if z > 1400.0:
         return 0.0
     w = whittaker_w_scaled(WhittakerIndex(0, sol.se.b), z)
-    return math.exp(-z) * w / sol.denom
+    return min(1.0, math.exp(-z) * w / sol.denom)
 
 
 def moments(sol: QsdSolution, n_max: int) -> MomentSeries:
@@ -144,7 +155,7 @@ def _slope_sign(x: float, sol: QsdSolution) -> float:
     return whittaker_w_scaled(WhittakerIndex(2, sol.se.b), z)
 
 
-def mode(sol: QsdSolution, scan_nodes: int = 256, max_doublings: int = 6) -> float:
+def mode(sol: QsdSolution) -> float:
     """Unique interior maximizer of the density.
 
     The derivative of q is proportional to W_{2,b}(2/(mu^2 x)), positive near
@@ -152,8 +163,8 @@ def mode(sol: QsdSolution, scan_nodes: int = 256, max_doublings: int = 6) -> flo
     scan and polished by bisection.
     """
     A = sol.params.A
-    n = scan_nodes
-    for _ in range(max_doublings + 1):
+    n = MODE_SCAN_NODES
+    for _ in range(MODE_MAX_DOUBLINGS + 1):
         xs = [A * i / (n + 1) for i in range(1, n + 1)]
         vs = [_slope_sign(x, sol) for x in xs]
         changes = [

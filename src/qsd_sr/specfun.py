@@ -112,10 +112,6 @@ class SpectralIndex:
         """Second Whittaker index xi/2."""
         return 0.5 * self.xi
 
-    def lambda_roundtrip(self, mu: float) -> float:
-        """Recover the eigenvalue from xi; used by invariant tests."""
-        return mu * mu * (self.xi_squared - 1.0) / 8.0
-
 
 @dataclass(frozen=True)
 class WhittakerIndex:

@@ -6,19 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from qsd_sr import ModelParams, build_solution
-
-# Golden regression data, mu = 1, twelve printed decimals:
-# threshold -> (-lambda, -lambda_order1, -lambda_order2, -lambda_order3)
-REFERENCE_TABLE = {
-    20: ("0.058856148622", "0.05", "0.059819055496", "0.058817735494"),
-    30: ("0.037786534271", "0.033333333333", "0.03811217223", "0.03777661428"),
-    40: ("0.027727324417", "0.025", "0.027880519395", "0.027723505394"),
-    50: ("0.02186160095", "0.02", "0.021947421685", "0.02185977578"),
-    100: ("0.010563106075", "0.01", "0.010577520296", "0.010562921283"),
-    500: ("0.002033066472", "0.002", "0.002033295282", "0.002033065611"),
-    1000: ("0.0010095172", "0.001", "0.001009554734", "0.001009517118"),
-    10000: ("0.000100139278", "0.0001", "0.000100139359", "0.000100139278"),
-}
+from qsd_sr.cli import REFERENCE_TABLE  # noqa: F401  golden data, mu = 1
 
 
 @pytest.fixture(scope="session")

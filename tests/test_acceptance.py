@@ -17,7 +17,7 @@ from qsd_sr import (
     cdf,
     dominant_eigenvalue,
     eigen_bracket,
-    index_derivative_identity,
+    index_derivative_check,
     lambda_order1,
     lambda_order2,
     lambda_order3,
@@ -29,7 +29,6 @@ from qsd_sr import (
     whittaker_expansion3,
     whittaker_w,
 )
-from test_asymptotics import numeric_index_derivative
 
 GRID_POINTS = 10_000
 EXACT_LAW_SWEEP = [(mu, A) for mu in (0.5, 1.0, 1.5) for A in (5.0, 20.0, 100.0)]
@@ -147,9 +146,7 @@ def test_criterion_6_index_derivative_identities():
     failures = []
     for k in (1, 2, 3):
         for x in (0.5, 2.0, 10.0):
-            closed = index_derivative_identity(k, x)
-            numeric = numeric_index_derivative(k, x)
-            rel = abs(numeric - closed) / abs(closed)
+            rel = index_derivative_check(k, x)
             if rel > 1e-5:
                 failures.append(f"k={k}, x={x}: rel {rel:.2e} > 1e-5")
     report("6 (index-derivative identities)", failures, time.perf_counter() - t0, 30.0)

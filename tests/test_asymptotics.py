@@ -12,33 +12,16 @@ from qsd_sr import (
     ThresholdTooSmallError,
     WhittakerIndex,
     build_approx,
+    index_derivative_check,
     index_derivative_identity,
     lambda_order1,
     lambda_order2,
     lambda_order3,
     meijer_g_special,
     pdf,
-    pdf_approx,
     whittaker_expansion3,
     whittaker_w,
 )
-
-
-def numeric_index_derivative(k, x, h0=1e-2):
-    """k-th b-derivative of W_{1,b}(x) at b = 1/2: centered differences with
-    steps h0 and h0/2 combined by Richardson extrapolation."""
-
-    def stencil(h):
-        w = [whittaker_w(WhittakerIndex(1, 0.5 + j * h), x) for j in (-2, -1, 0, 1, 2)]
-        if k == 1:
-            return (w[3] - w[1]) / (2.0 * h)
-        if k == 2:
-            return (w[3] - 2.0 * w[2] + w[1]) / (h * h)
-        return (w[4] - 2.0 * w[3] + 2.0 * w[1] - w[0]) / (2.0 * h**3)
-
-    d1 = stencil(h0)
-    d2 = stencil(h0 / 2.0)
-    return (4.0 * d2 - d1) / 3.0
 
 
 class TestEigenvalueApproximations:
@@ -155,15 +138,11 @@ class TestIndexDerivatives:
     def test_against_numerical_derivatives(self):
         for k in (1, 2, 3):
             for x in (0.5, 2.0, 10.0):
-                closed = index_derivative_identity(k, x)
-                numeric = numeric_index_derivative(k, x)
-                assert abs(numeric - closed) / abs(closed) < 1e-5, (k, x)
+                assert index_derivative_check(k, x) < 1e-5, (k, x)
 
     def test_first_identity_across_range(self):
         for x in np.linspace(0.1, 20.0, 24):
-            closed = index_derivative_identity(1, float(x))
-            numeric = numeric_index_derivative(1, float(x))
-            assert abs(numeric - closed) / abs(closed) < 1e-5, x
+            assert index_derivative_check(1, float(x)) < 1e-5, x
 
     def test_order_validation(self):
         with pytest.raises(DomainError):
@@ -204,9 +183,18 @@ class TestPdfApprox:
         total, _ = quad(lambda x: ap.pdf(x), 0.0, 100.0, epsabs=1e-9, epsrel=1e-9, limit=300)
         assert abs(total - 1.0) < 1e-3
 
-    def test_pointwise_wrapper(self):
-        p = ModelParams(mu=1.0, A=20.0)
-        assert pdf_approx(2, 5.0, p) == build_approx(p, 2).pdf(5.0)
+    def test_order3_density_is_normalized_expansion(self):
+        # the order-3 density and the truncated numerator share one expansion:
+        # q3(x) D = exp(-1/(mu^2 x)) / x * W3(x, lam***)
+        for mu in (0.5, 1.0, 1.5):
+            for A in (20.0, 100.0):
+                p = ModelParams(mu=mu, A=A)
+                ap = build_approx(p, 3)
+                for x in np.linspace(0.05 * A, 0.95 * A, 7):
+                    x = float(x)
+                    expect = (math.exp(-1.0 / (mu**2 * x)) / x
+                              * whittaker_expansion3(x, ap.lambda_approx, p))
+                    assert ap.pdf(x) * ap.denom == pytest.approx(expect, rel=1e-13), (mu, A, x)
 
     def test_order_validation(self):
         with pytest.raises(DomainError):

@@ -58,6 +58,19 @@ class TestTable:
             main(["pdf", "--mu", "0"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["table", "--mu", "nan"],
+        ["table", "--mu", "inf"],
+        ["pdf", "--A", "inf"],
+        ["pdf", "--A", "nan"],
+        ["pdf", "--grid", "1"],
+        ["cdf", "--xmin", "5", "--xmax", "1"],
+    ], ids=["mu-nan", "mu-inf", "A-inf", "A-nan", "grid-1", "xmin-above-xmax"])
+    def test_bad_arguments_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+
 
 class TestGridCommands:
     def test_pdf_grid(self, capsys):
@@ -98,6 +111,13 @@ class TestGridCommands:
         max_err = [max(r[5 + k] for r in rows) for k in range(3)]
         assert max_err[2] < max_err[0]
         assert max_err[1] < max_err[0]
+
+    def test_approx_warns_when_an_order_is_unavailable(self, capsys):
+        # at A = 3 the quadratic truncation has no real root
+        code, out, err = run_cli(capsys, "approx", "--A", "3", "--grid", "50")
+        assert code == EXIT_OK
+        assert "warning: order-2 approximation unavailable" in err
+        assert out.split("\n")[0] == "x,q,q_approx1,q_approx3,abs_err1,abs_err3"
 
     def test_mode_ordering_across_drifts(self, capsys):
         # larger drift pushes the bulk of the law toward the origin

@@ -8,7 +8,6 @@ from qsd_sr import (
     dominant_eigenvalue,
     eigen_bracket,
     eigenfunction,
-    eigenvalue_monotonicity_check,
 )
 
 PARAM_SWEEP = [(mu, A) for mu in (0.5, 1.0, 1.5) for A in (5.0, 20.0, 100.0)]
@@ -103,13 +102,6 @@ class TestEigenfunction:
 
 
 class TestMonotonicity:
-    def test_reference_grid_increasing(self):
-        p = ModelParams(mu=1.0, A=1.0)
-        assert eigenvalue_monotonicity_check(p, sorted(REFERENCE_TABLE)) is True
-
-    def test_single_element(self):
-        assert eigenvalue_monotonicity_check(ModelParams(mu=1.0, A=1.0), [20.0]) is True
-
     def test_limit_to_zero(self):
         lams = [
             dominant_eigenvalue(ModelParams(mu=1.0, A=float(A))).lam
@@ -117,7 +109,3 @@ class TestMonotonicity:
         ]
         assert all(l2 > l1 for l1, l2 in zip(lams, lams[1:]))
         assert abs(lams[-1]) < 2e-4  # approaching zero from below
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(DomainError):
-            eigenvalue_monotonicity_check(ModelParams(mu=1.0, A=1.0), [30.0, 20.0])

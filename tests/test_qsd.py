@@ -89,6 +89,13 @@ class TestCdf:
             fd = (cdf(x + h, sol_mu1_A20) - cdf(x - h, sol_mu1_A20)) / (2.0 * h)
             assert fd == pytest.approx(pdf(x, sol_mu1_A20), abs=1e-6 * 0.1, rel=1e-5)
 
+    def test_at_most_one_just_below_threshold(self):
+        # rounding in the closed form overshoots 1 by ~4e-16 within ~1e-11 of A
+        for mu, A in SWEEP:
+            sol = build_solution(ModelParams(mu=mu, A=A))
+            vals = [cdf(A * (1.0 - k * 1e-13), sol) for k in range(1, 201)]
+            assert max(vals) <= cdf(A, sol) == 1.0, (mu, A)
+
     def test_monotone_on_grid(self, sol_mu1_A20):
         xs = np.linspace(0.0, 20.0, 10_000)
         vals = [cdf(float(x), sol_mu1_A20) for x in xs]

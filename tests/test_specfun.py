@@ -51,7 +51,8 @@ class TestTypes:
     def test_spectral_index_roundtrip(self):
         for lam, mu in [(-0.0588, 1.0), (-0.4, 0.5), (-0.125, 1.0), (0.0, 2.0)]:
             se = SpectralIndex.from_lambda(lam, mu)
-            assert se.lambda_roundtrip(mu) == pytest.approx(lam, abs=1e-15)
+            # lam = mu^2 (xi^2 - 1) / 8 recovers the eigenvalue
+            assert mu * mu * (se.xi_squared - 1.0) / 8.0 == pytest.approx(lam, abs=1e-15)
             assert se.xi_squared == pytest.approx(1.0 + 8.0 * lam / mu**2, rel=1e-15)
             if se.xi_squared >= 0:
                 assert se.xi.imag == 0.0
