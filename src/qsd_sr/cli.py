@@ -131,14 +131,14 @@ _LAW = {"pdf": (qsd.pdf, "q"), "cdf": (qsd.cdf, "Q")}
 
 def cmd_law(args) -> int:
     fn, column = _LAW[args.command]
-    sol = qsd.build_solution(args.params[-1], tol=args.tol)
+    sol = qsd.build_solution(args.params[0], tol=args.tol)
     rows = [(x, fn(x, sol)) for x in args.xs]
     _write_table(("x", column), rows, args.format, args.out)
     return EXIT_OK
 
 
 def cmd_approx(args) -> int:
-    params = args.params[-1]
+    params = args.params[0]
     sol = qsd.build_solution(params, tol=args.tol)
     orders = (args.order,) if args.order else (1, 2, 3)
     approx = {}
@@ -309,12 +309,14 @@ def cmd_validate(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--mu", type=float, default=1.0, help="post-change drift (nonzero)")
-    sp.add_argument("--A", type=float, action="append", help="detection threshold (repeatable)")
+def _add_common(sp, model=True):
+    if model:
+        sp.add_argument("--mu", type=float, default=1.0, help="post-change drift (nonzero)")
+        sp.add_argument("--A", type=float, action="append",
+                        help="detection threshold (repeatable for table)")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--tol", type=float, default=None, help="tolerance")
     sp.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser() -> _Parser:
@@ -337,31 +339,38 @@ def build_parser() -> _Parser:
         sp.set_defaults(fn=fn, default_tol=1e-13, default_A=(20.0,))
 
     v = sub.add_parser("validate", help="run verification suites")
-    _add_common(v)
+    _add_common(v, model=False)
     v.add_argument("--skip", action="append", choices=("exact", "identities", "sl", "mc"),
                    help="suite to skip (repeatable)")
     v.add_argument("--seed", type=int, default=20260810)
     v.add_argument("--paths", type=int, default=200000)
     v.add_argument("--dt", type=float, default=1e-3)
     v.add_argument("--horizon", type=float, default=18.0)
-    v.set_defaults(fn=cmd_validate, default_tol=1e-10, default_A=(20.0,))
+    v.set_defaults(fn=cmd_validate, default_tol=1e-10)
     return ap
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # grid commands pass --tol to the eigensolver, which needs it positive
+    grid = "grid" in args
     if args.tol is None:
         args.tol = args.default_tol
-    elif not (args.tol >= 0.0 and math.isfinite(args.tol)):
-        ap.error(f"--tol must be a nonnegative finite number, got {args.tol}")
-    try:
-        args.params = [ModelParams(mu=args.mu, A=a) for a in (args.A or args.default_A)]
-    except DomainError as exc:
-        ap.error(str(exc))
-    if "grid" in args:
+    elif not ((args.tol > 0.0 if grid else args.tol >= 0.0) and math.isfinite(args.tol)):
+        kind = "positive" if grid else "nonnegative"
+        ap.error(f"--tol must be a {kind} finite number, got {args.tol}")
+    if "mu" in args:  # every command but validate
+        thresholds = args.A or args.default_A
+        if grid and len(thresholds) > 1:
+            ap.error(f"--A may be given only once for {args.command}")
+        try:
+            args.params = [ModelParams(mu=args.mu, A=a) for a in thresholds]
+        except DomainError as exc:
+            ap.error(str(exc))
+    if grid:
         xmin = 0.0 if args.xmin is None else args.xmin
-        xmax = args.params[-1].A if args.xmax is None else args.xmax
+        xmax = args.params[0].A if args.xmax is None else args.xmax
         if not (args.grid >= 2 and -math.inf < xmin < xmax < math.inf):
             ap.error(f"bad grid specification [{xmin}, {xmax}] with {args.grid} points")
         args.xs = [xmin + (xmax - xmin) * i / (args.grid - 1) for i in range(args.grid)]

@@ -17,8 +17,6 @@ kernel it is checking against:
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,7 +149,7 @@ def sturm_liouville_eigen(params: ModelParams, n_grid: int) -> GridSolution:
 def _simulate_chunk(rng, n_paths, r, mu, A, dt, n_steps):
     """One chunk of paths, sequential in time, alive-set compaction.
     The draw order (step-major over the alive set of this chunk) is fixed,
-    so results do not depend on how chunks are scheduled.  Single precision:
+    so a chunk's result depends only on its substream.  Single precision:
     per-step rounding (~1e-7 relative) is far below the statistical
     tolerances this simulator serves."""
     c = np.float32(mu * math.sqrt(dt))
@@ -186,8 +184,7 @@ def simulate_killed_sr(
     survivors at the horizon is returned as a histogram plus the sorted
     sample values.  The master seed is split into counter-derived substreams
     (one per fixed-size chunk of paths), so the result is reproducible
-    bit-for-bit regardless of the degree of parallelism; the environment
-    variable ``QSD_SR_THREADS`` caps the worker count.
+    bit-for-bit for a given seed.
     """
     if not (0.0 <= r < params.A):
         raise DomainError(f"headstart must lie in [0, A), got {r}")
@@ -199,19 +196,11 @@ def simulate_killed_sr(
     n_chunks = min(MC_CHUNKS, n_paths)
     sizes = [n_paths // n_chunks + (1 if c < n_paths % n_chunks else 0) for c in range(n_chunks)]
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
-
-    def run(c):
-        rng = np.random.Generator(np.random.Philox(streams[c]))
-        return _simulate_chunk(rng, sizes[c], r, params.mu, params.A, dt, n_steps)
-
-    workers = int(os.environ.get("QSD_SR_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(n_chunks)))
-    else:
-        parts = [run(c) for c in range(n_chunks)]
-
-    survivors = np.concatenate(parts) if parts else np.empty(0)
+    survivors = np.concatenate([
+        _simulate_chunk(np.random.Generator(np.random.Philox(stream)), size,
+                        r, params.mu, params.A, dt, n_steps)
+        for stream, size in zip(streams, sizes)
+    ])
     if survivors.size == 0:
         raise NoSurvivorsError(
             f"no surviving paths at horizon T={T} (n_paths={n_paths}); "

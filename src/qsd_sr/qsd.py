@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .eigensolver import DEFAULT_TOL, EigenResult, dominant_eigenvalue
+from .eigensolver import DEFAULT_TOL, EigenResult, _polish, dominant_eigenvalue
 from .errors import ConvergenceError, DomainError
 from .specfun import ModelParams, SpectralIndex, WhittakerIndex, whittaker_w_scaled
 
@@ -35,10 +35,6 @@ __all__ = [
 ]
 
 MAX_MOMENT_ORDER = 50
-
-# mode(): initial scan resolution and how often it may be doubled
-MODE_SCAN_NODES = 256
-MODE_MAX_DOUBLINGS = 6
 
 
 @dataclass(frozen=True)
@@ -84,18 +80,23 @@ def build_solution(params: ModelParams, tol: float = DEFAULT_TOL) -> QsdSolution
     return QsdSolution(params=params, se=se, denom=normalization(params, se), eigen=eig)
 
 
-def pdf(x: float, sol: QsdSolution) -> float:
-    """Density q(x); returns 0 outside (0, A) so callers may evaluate on
-    arbitrary plotting grids.  q(0+) = 0 and q(A) = 0."""
-    A, mu2 = sol.params.A, sol.params.mu2
-    if x <= 0.0 or x > A:
-        return 0.0
-    z = 2.0 / (mu2 * x)
+def _density(x: float, sol: QsdSolution) -> float:
+    # the closed form at 0 < x <= A, unclamped
+    z = 2.0 / (sol.params.mu2 * x)
     if z > 1400.0:
         return 0.0
     # (1/x) e^{-z/2} W_1(z) = (mu^2 z^2 / 2) e^{-z} * scaled W
     w = whittaker_w_scaled(WhittakerIndex(1, sol.se.b), z)
-    return 0.5 * mu2 * z * z * math.exp(-z) * w / sol.denom
+    return 0.5 * sol.params.mu2 * z * z * math.exp(-z) * w / sol.denom
+
+
+def pdf(x: float, sol: QsdSolution) -> float:
+    """Density q(x); returns 0 outside (0, A) so callers may evaluate on
+    arbitrary plotting grids.  q(0+) = 0 and q(A) = 0 exactly.  Clamped at
+    0, which rounding in the closed form undershoots just below A."""
+    if x <= 0.0 or x >= sol.params.A:
+        return 0.0
+    return max(0.0, _density(x, sol))
 
 
 def cdf(x: float, sol: QsdSolution) -> float:
@@ -158,45 +159,34 @@ def _slope_sign(x: float, sol: QsdSolution) -> float:
 def mode(sol: QsdSolution) -> float:
     """Unique interior maximizer of the density.
 
-    The derivative of q is proportional to W_{2,b}(2/(mu^2 x)), positive near
-    x = 0 and negative at x = A, with exactly one sign change; located by a
-    scan and polished by bisection.
+    The derivative of q is proportional to W_{2,b}(2/(mu^2 x)): positive as
+    x -> 0+ and negative at x = A, where A^2 (mu^2/2) q'(A) = lam < 0, with
+    exactly one sign change between.  The root is bracketed by [x_lo, A]
+    with x_lo at z = 1e4 (clipped to A/2), both end signs are checked, and
+    it is polished by the eigensolver's bisection-secant routine to 1e-12 A.
+    Raises :class:`ConvergenceError` when an end sign is wrong.
     """
     A = sol.params.A
-    n = MODE_SCAN_NODES
-    for _ in range(MODE_MAX_DOUBLINGS + 1):
-        xs = [A * i / (n + 1) for i in range(1, n + 1)]
-        vs = [_slope_sign(x, sol) for x in xs]
-        changes = [
-            i for i in range(n - 1) if (vs[i] > 0.0) and (vs[i + 1] <= 0.0)
-        ]
-        if len(changes) == 1:
-            a, b = xs[changes[0]], xs[changes[0] + 1]
-            fa, fb = vs[changes[0]], vs[changes[0] + 1]
-            break
-        n *= 2
-    else:
+    lo = min(2.0 / (sol.params.mu2 * 1e4), 0.5 * A)
+    f_lo, f_a = _slope_sign(lo, sol), _slope_sign(A, sol)
+    if not (f_lo > 0.0 and f_a < 0.0):
         raise ConvergenceError(
-            f"mode scan found {len(changes)} slope sign changes at resolution {n // 2}"
+            f"density slope signs {f_lo:+.3e} at x={lo:.6g} and {f_a:+.3e} at A={A:.6g} "
+            "do not bracket the mode"
         )
-    while b - a > 1e-12 * A:
-        m = 0.5 * (a + b)
-        fm = _slope_sign(m, sol)
-        if fm > 0.0:
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-    return 0.5 * (a + b)
+    return _polish(lambda x: _slope_sign(x, sol), lo, A, f_lo, f_a, 1e-12 * A)[0]
 
 
 def boundary_flux_identity(sol: QsdSolution) -> float:
     """A^2 (mu^2/2) q'(A), with q'(A) from a one-sided 4-point stencil of
-    step 1e-5 A.  Equals the dominant eigenvalue (tested at 1e-5 relative)."""
+    step 1e-5 A on the unclamped closed form, whose rounding offset at A the
+    stencil cancels.  Equals the dominant eigenvalue (tested at 1e-5
+    relative)."""
     A, mu2 = sol.params.A, sol.params.mu2
     h = 1e-5 * A
-    q0 = pdf(A, sol)
-    q1 = pdf(A - h, sol)
-    q2 = pdf(A - 2.0 * h, sol)
-    q3 = pdf(A - 3.0 * h, sol)
+    q0 = _density(A, sol)
+    q1 = _density(A - h, sol)
+    q2 = _density(A - 2.0 * h, sol)
+    q3 = _density(A - 3.0 * h, sol)
     dq = (11.0 * q0 - 18.0 * q1 + 9.0 * q2 - 2.0 * q3) / (6.0 * h)
     return A * A * 0.5 * mu2 * dq

@@ -65,7 +65,15 @@ class TestTable:
         ["pdf", "--A", "nan"],
         ["pdf", "--grid", "1"],
         ["cdf", "--xmin", "5", "--xmax", "1"],
-    ], ids=["mu-nan", "mu-inf", "A-inf", "A-nan", "grid-1", "xmin-above-xmax"])
+        ["validate", "--A", "5", "--format", "csv"],
+        ["validate", "--mu", "2"],
+        ["pdf", "--A", "5", "--A", "7"],
+        ["cdf", "--A", "5", "--A", "7"],
+        ["approx", "--A", "5", "--A", "7"],
+        ["pdf", "--tol", "0"],
+    ], ids=["mu-nan", "mu-inf", "A-inf", "A-nan", "grid-1", "xmin-above-xmax",
+            "validate-A-format", "validate-mu", "pdf-A-twice", "cdf-A-twice",
+            "approx-A-twice", "pdf-tol-0"])
     def test_bad_arguments_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -74,13 +74,6 @@ class TestSimulation:
         c = simulate_killed_sr(params_mu1_A20, r=5.0, dt=1e-2, T=10.0, n_paths=4000, seed=43)
         assert not np.array_equal(a.samples, c.samples)
 
-    def test_thread_count_does_not_change_result(self, params_mu1_A20, monkeypatch):
-        monkeypatch.setenv("QSD_SR_THREADS", "4")
-        a = simulate_killed_sr(params_mu1_A20, r=5.0, dt=1e-2, T=10.0, n_paths=4000, seed=7)
-        monkeypatch.setenv("QSD_SR_THREADS", "1")
-        b = simulate_killed_sr(params_mu1_A20, r=5.0, dt=1e-2, T=10.0, n_paths=4000, seed=7)
-        assert np.array_equal(a.samples, b.samples)
-
     def test_samples_inside_support(self, params_mu1_A20):
         law = simulate_killed_sr(params_mu1_A20, r=5.0, dt=1e-2, T=10.0, n_paths=4000, seed=1)
         assert np.all(law.samples >= 0.0)

@@ -20,6 +20,20 @@ from qsd_sr import (
 
 SWEEP = [(mu, A) for mu in (0.5, 1.0, 1.5) for A in (5.0, 20.0, 100.0)]
 
+# mode() at the SWEEP points as computed by the earlier 256-node scan plus
+# bisection to a 1e-12 A bracket
+SCAN_MODES = {
+    (0.5, 5.0): 2.389595874058398,
+    (0.5, 20.0): 3.517484312817265,
+    (0.5, 100.0): 3.9108193419232293,
+    (1.0, 5.0): 0.8793710782043163,
+    (1.0, 20.0): 0.9717670741404048,
+    (1.0, 100.0): 0.994758423760258,
+    (1.5, 5.0): 0.42135792487012835,
+    (1.5, 20.0): 0.43910481966126,
+    (1.5, 100.0): 0.44342984453546685,
+}
+
 
 def quad_pdf(sol, lo, hi):
     val, _ = quad(lambda x: pdf(x, sol), lo, hi, epsabs=1e-11, epsrel=1e-11, limit=400)
@@ -67,6 +81,15 @@ class TestPdf:
                 epsabs=1e-11, epsrel=1e-11, limit=500,
             )
             assert abs(total - 1.0) < 1e-8, mu
+
+    def test_zero_at_and_nonnegative_below_threshold(self):
+        # the unclamped closed form rounds to about -1e-14 at mu=1, A=5 and
+        # is negative within ~1e-11 of A at mu=1.2, A=1000
+        for mu, A in SWEEP + [(1.2, 1000.0)]:
+            sol = build_solution(ModelParams(mu=mu, A=A))
+            assert pdf(A, sol) == 0.0, (mu, A)
+            vals = [pdf(A * (1.0 - k * 1e-14), sol) for k in range(1, 201)]
+            assert min(vals) >= 0.0, (mu, A)
 
     def test_positive_inside(self, sol_mu1_A20):
         for x in np.linspace(0.2, 19.8, 200):
@@ -186,6 +209,21 @@ class TestMode:
             sol = build_solution(ModelParams(mu=mu, A=A))
             xt = mode(sol)
             assert 0.0 < xt < A, (mu, A)
+
+    def test_matches_scan_values(self):
+        for (mu, A), scanned in SCAN_MODES.items():
+            sol = build_solution(ModelParams(mu=mu, A=A))
+            assert abs(mode(sol) - scanned) <= 1e-12 * A, (mu, A)
+
+    @pytest.mark.parametrize("mu, A", [(1.0, 3e4), (10.0, 1e4), (0.5, 4e9)],
+                             ids=["c3e4", "c1e6-mu10", "c1e9-mu0.5"])
+    def test_large_threshold_near_stationary_mode(self, mu, A):
+        # the stationary density's mode is 1/mu^2; here it lies inside the
+        # first cell of any uniform grid on [0, A] coarser than ~c/2 nodes
+        c = mu * mu * A
+        xt = mode(build_solution(ModelParams(mu=mu, A=A)))
+        assert 0.0 < xt < A
+        assert abs(xt - 1.0 / mu**2) <= 2.0 / (mu * mu * c)
 
 
 class TestBoundaryFlux:
