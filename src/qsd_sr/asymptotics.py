@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ThresholdTooSmallError
 from .qsd import normalization
-from .specfun import ModelParams, SpectralIndex, exp_scaled_e1, meijer_g_special
+from .specfun import ModelParams, SpectralIndex, WhittakerIndex, exp_scaled_e1, meijer_g_special
 
 __all__ = [
     "ApproxSolution",
@@ -55,14 +55,16 @@ class ApproxSolution:
     denom: float
 
     def pdf(self, x: float) -> float:
-        """Order-k density (2/(mu^2 x)) e^{-2/(mu^2 x)} {1/x + lam + ...} / D,
-        zero outside (0, A]."""
+        """Order-k density (2/(mu^2 x)) e^{-2/(mu^2 x)} {1/x + lam + ...} / D;
+        returns 0 outside (0, A), and exactly 0 at A, where the order-k
+        bracket vanishes by construction of lam_k.  Clamped at 0, which
+        rounding in the bracket undershoots just below A."""
         A, mu2 = self.params.A, self.params.mu2
-        if x <= 0.0 or x > A:
+        if x <= 0.0 or x >= A:
             return 0.0
         u = 2.0 / (mu2 * x)
         pre = u * math.exp(-u) if u < 745.0 else 0.0
-        return pre * _bracket(self.order, x, self.lambda_approx, mu2) / self.denom
+        return max(0.0, pre * _bracket(self.order, x, self.lambda_approx, mu2) / self.denom)
 
 
 def _expansion_coefficients(u: float):
@@ -178,5 +180,6 @@ def build_approx(params: ModelParams, order: int) -> ApproxSolution:
     if order not in LAMBDA_BY_ORDER:
         raise DomainError(f"approximation order must be 1, 2 or 3, got {order}")
     lam = LAMBDA_BY_ORDER[order](params)
-    denom = normalization(params, SpectralIndex.from_lambda(min(lam, 0.0), params.mu))
+    se = SpectralIndex.from_lambda(min(lam, 0.0), params.mu)
+    denom = normalization(params, WhittakerIndex(0, se.b))
     return ApproxSolution(order=order, lambda_approx=lam, params=params, denom=denom)

@@ -24,7 +24,6 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from .asymptotics import index_derivative_identity
-from .eigensolver import eigenfunction
 from .errors import ConvergenceError, DomainError, NoSurvivorsError
 from .specfun import (
     ModelParams,
@@ -32,6 +31,7 @@ from .specfun import (
     WhittakerIndex,
     speed_density,
     whittaker_w,
+    whittaker_w_scaled,
 )
 
 __all__ = [
@@ -277,9 +277,12 @@ def norm_identity_check(params: ModelParams, se: SpectralIndex, h_scale: float =
     scale of each variable."""
     mu2, A = params.mu2, params.A
     z_a = 2.0 / (mu2 * A)
+    idx = WhittakerIndex(1, se.b)
 
+    # the eigenfunction phi(x, lam) = exp(z/2) z^-1 W_{1,b}(z), z = 2/(mu^2 x),
+    # with the index built once for every quadrature node
     norm2, _ = quad(
-        lambda x: speed_density(x, params) * eigenfunction(x, se, params) ** 2,
+        lambda x: speed_density(x, params) * whittaker_w_scaled(idx, 2.0 / (mu2 * x)) ** 2,
         0.0,
         A,
         epsabs=1e-12,
@@ -294,7 +297,6 @@ def norm_identity_check(params: ModelParams, se: SpectralIndex, h_scale: float =
     h_lam = h_scale * max(abs(se.lam), 1e-3)
     d_lam = (w_of_lambda(se.lam + h_lam) - w_of_lambda(se.lam - h_lam)) / (2.0 * h_lam)
 
-    idx = WhittakerIndex(1, se.b)
     h_u = h_scale * z_a
     d_u = (whittaker_w(idx, z_a + h_u) - whittaker_w(idx, z_a - h_u)) / (2.0 * h_u)
 

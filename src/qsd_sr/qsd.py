@@ -40,13 +40,18 @@ MAX_MOMENT_ORDER = 50
 @dataclass(frozen=True)
 class QsdSolution:
     """Handle through which all pdf/cdf/moment evaluation flows: model
-    parameters, the dominant spectral index, and the normalization
-    denominator of the closed-form law."""
+    parameters, the dominant spectral index, the normalization denominator
+    of the closed-form law, and the Whittaker indices W_{0,b}, W_{1,b},
+    W_{2,b} of the cdf, the pdf and the pdf's slope, built once so that
+    their connection coefficients are computed once per law."""
 
     params: ModelParams
     se: SpectralIndex
     denom: float
     eigen: EigenResult
+    w0: WhittakerIndex
+    w1: WhittakerIndex
+    w2: WhittakerIndex
 
 
 @dataclass(frozen=True)
@@ -62,12 +67,12 @@ class MomentSeries:
         return len(self.moments)
 
 
-def normalization(params: ModelParams, se: SpectralIndex) -> float:
-    """Normalization denominator D at the spectral index ``se``; raises
-    :class:`ConvergenceError` unless it is positive."""
+def normalization(params: ModelParams, w0: WhittakerIndex) -> float:
+    """Normalization denominator D, with ``w0`` the index (0, b) of the
+    spectral index; raises :class:`ConvergenceError` unless it is positive."""
     z_a = 2.0 / (params.mu2 * params.A)
     # D = exp(-z_A/2) W_{0,b}(z_A) = exp(-z_A) * scaled W
-    denom = math.exp(-z_a) * whittaker_w_scaled(WhittakerIndex(0, se.b), z_a)
+    denom = math.exp(-z_a) * whittaker_w_scaled(w0, z_a)
     if not (denom > 0.0):
         raise ConvergenceError(f"normalization denominator must be positive, got {denom}")
     return denom
@@ -77,7 +82,9 @@ def build_solution(params: ModelParams, tol: float = DEFAULT_TOL) -> QsdSolution
     """Solve the eigenvalue problem and assemble the normalization."""
     eig = dominant_eigenvalue(params, tol=tol)
     se = SpectralIndex.from_lambda(eig.lam, params.mu)
-    return QsdSolution(params=params, se=se, denom=normalization(params, se), eigen=eig)
+    w0, w1, w2 = (WhittakerIndex(a, se.b) for a in (0, 1, 2))
+    return QsdSolution(params=params, se=se, denom=normalization(params, w0), eigen=eig,
+                       w0=w0, w1=w1, w2=w2)
 
 
 def _density(x: float, sol: QsdSolution) -> float:
@@ -86,7 +93,7 @@ def _density(x: float, sol: QsdSolution) -> float:
     if z > 1400.0:
         return 0.0
     # (1/x) e^{-z/2} W_1(z) = (mu^2 z^2 / 2) e^{-z} * scaled W
-    w = whittaker_w_scaled(WhittakerIndex(1, sol.se.b), z)
+    w = whittaker_w_scaled(sol.w1, z)
     return 0.5 * sol.params.mu2 * z * z * math.exp(-z) * w / sol.denom
 
 
@@ -110,7 +117,7 @@ def cdf(x: float, sol: QsdSolution) -> float:
     z = 2.0 / (mu2 * x)
     if z > 1400.0:
         return 0.0
-    w = whittaker_w_scaled(WhittakerIndex(0, sol.se.b), z)
+    w = whittaker_w_scaled(sol.w0, z)
     return min(1.0, math.exp(-z) * w / sol.denom)
 
 
@@ -153,7 +160,7 @@ def _slope_sign(x: float, sol: QsdSolution) -> float:
     # q'(x) is a positive multiple of W_{2,b}(2/(mu^2 x)); the scaled form
     # carries the same sign
     z = 2.0 / (sol.params.mu2 * x)
-    return whittaker_w_scaled(WhittakerIndex(2, sol.se.b), z)
+    return whittaker_w_scaled(sol.w2, z)
 
 
 def mode(sol: QsdSolution) -> float:

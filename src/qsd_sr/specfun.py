@@ -14,8 +14,11 @@ special functions evaluated in plain double precision:
 * the stationary law of the underlying diffusion, with density
   ``m(x) = (2/(mu^2 x^2)) exp(-2/(mu^2 x))`` and cdf ``H(x) = exp(-2/(mu^2 x))``.
 
-All functions are pure and hold no global mutable state, so concurrent use is
-safe.
+The functions hold no global mutable state.  The one mutable thing is per
+index: a :class:`WhittakerIndex` fills its connection coefficients on its
+first series-branch evaluation and keeps them.  That fill is idempotent (every
+thread computes the same value, and a racing write only replaces it with an
+equal one), so indices may be shared between threads.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from scipy.integrate import quad
 
@@ -136,6 +140,21 @@ class WhittakerIndex:
             raise DomainError(f"real second index must lie in [-0.55, 0.55], got {b.real}")
         object.__setattr__(self, "b", b)
 
+    @cached_property
+    def _coefficients(self) -> tuple:
+        """Constants of the connection formula for this index (see
+        :func:`_connection`), computed on the first series-branch evaluation
+        and kept; they are not dataclass fields, so ``==``, ``hash`` and
+        ``repr`` ignore them."""
+        return _connection(self.a, _upper(self.b))
+
+    @cached_property
+    def _offsets(self) -> tuple:
+        """The real indices (a, h), (a, 2h), h = 1e-5, that the b ~ 0
+        extrapolation evaluates."""
+        h = 1e-5
+        return WhittakerIndex(self.a, h), WhittakerIndex(self.a, 2.0 * h)
+
 
 # ---------------------------------------------------------------------------
 # Gamma function
@@ -213,15 +232,16 @@ def _gamma_shifted(eps: complex, n: int) -> complex:
 _KUMMER_MAX_TERMS = 10_000
 
 
-def _kummer_series(alpha: complex, gam: complex, z: float) -> complex:
-    """Confluent series 1F1(alpha; gam; z) with compensated summation.
+def _kummer_series(alpha: float | complex, gam: float | complex, z: float) -> float | complex:
+    """Confluent series 1F1(alpha; gam; z) with compensated summation, in
+    real arithmetic for real parameters and complex arithmetic otherwise.
 
     Terminates when a term falls below 1e-17 of the partial sum; raises
     after 10000 terms (never reached for z <= Z_SWITCH).
     """
-    s = complex(1.0)
-    comp = complex(0.0)
-    term = complex(1.0)
+    s = 1.0
+    comp = 0.0
+    term = 1.0
     for n in range(_KUMMER_MAX_TERMS):
         term = term * (alpha + n) / (gam + n) * (z / (n + 1))
         y = term - comp
@@ -233,34 +253,53 @@ def _kummer_series(alpha: complex, gam: complex, z: float) -> complex:
     raise ConvergenceError(f"Kummer series did not converge (alpha={alpha}, gamma={gam}, z={z})")
 
 
-def _w_scaled_series(a: int, b: complex, z: float) -> float:
-    """exp(z/2) z^(-a) W_{a,b}(z) by the connection formula, z <= Z_SWITCH.
+def _upper(b: complex) -> complex:
+    """The one of b, -b with nonnegative real and imaginary parts.  W is
+    symmetric in b -> -b; this keeps the series poles one-sided."""
+    return -b if b.real < 0.0 or b.imag < 0.0 else b
 
-    W is expressed through the two regular Kummer solutions; the gamma
-    coefficients are evaluated through ``delta = 1 - 2b`` so that the ratio
-    of poles at b -> 1/2 stays fully accurate (1 - 2b is exact in floating
-    point for real b in [0.25, 0.5]).
+
+def _connection(a: int, b: complex) -> tuple:
+    """Connection coefficients of DLMF 13.14.33 at index (a, b), b from
+    :func:`_upper` and away from 0 and 1/2: one ``(c, alpha, gamma)`` row per
+    regular Kummer solution, so that the scaled W is the sum over rows of
+    ``c z**alpha 1F1(alpha; gamma; z)``.  Imaginary b has one row (the second
+    term is its conjugate); real b has two, with real alpha and gamma.
+
+    The gamma coefficients are evaluated through ``delta = 1 - 2b`` so that
+    the ratio of poles at b -> 1/2 stays fully accurate (1 - 2b is exact in
+    floating point for real b in [0.25, 0.5]).
     """
     delta = 1.0 - 2.0 * b
     # Gamma(-2b)   = Gamma(delta - 1)      : pole at b = 1/2  (delta -> 0)
     # Gamma(1/2 - b - a) = Gamma(delta/2 - a)
     c1 = _gamma_shifted(delta, 1) / _gamma_shifted(0.5 * delta, a)
-    f1 = _kummer_series(0.5 + b - a, 1.0 + 2.0 * b, z)
-    term1 = c1 * z ** (0.5 + b - a) * f1
     if b.imag != 0.0:
-        # purely imaginary b: the second connection term is the complex
-        # conjugate of the first, so the sum is exactly real
-        return 2.0 * term1.real
+        return ((c1, 0.5 + b - a, 1.0 + 2.0 * b),)
     # Gamma(2b)    = Gamma(1 - delta)
     # Gamma(1/2 + b - a) = Gamma((1 - delta/2) - a)
     c2 = gamma_cx(1.0 - delta) / gamma_cx(1.0 - 0.5 * delta - a)
-    f2 = _kummer_series(0.5 - b - a, 1.0 - 2.0 * b, z)
+    b = b.real
+    return ((c1, 0.5 + b - a, 1.0 + 2.0 * b), (c2, 0.5 - b - a, 1.0 - 2.0 * b))
+
+
+def _w_scaled_series(connection: tuple, z: float) -> float:
+    """exp(z/2) z^(-a) W_{a,b}(z) by the connection formula, z <= Z_SWITCH,
+    from the index's :func:`_connection` rows."""
+    (c1, alpha1, gam1), *second = connection
+    term1 = c1 * z ** alpha1 * _kummer_series(alpha1, gam1, z)
+    if not second:
+        # purely imaginary b: the second connection term is the complex
+        # conjugate of the first, so the sum is exactly real
+        return 2.0 * term1.real
+    c2, alpha2, gam2 = second[0]
     # exp(z/2) z^(-a) [c1 M_{a,b} + c2 M_{a,-b}], the exp(-z/2) of M cancels
-    w = term1 + c2 * z ** (0.5 - b - a) * f2
+    w = term1 + c2 * z ** alpha2 * _kummer_series(alpha2, gam2, z)
     val = w.real
     if abs(w.imag) > 1e-10 * (1.0 + abs(val)):
         raise ConvergenceError(
-            f"Whittaker W imaginary residue too large: {w.imag:.3e} at a={a}, b={b}, z={z}"
+            f"Whittaker W imaginary residue too large: {w.imag:.3e} at z={z} "
+            f"(Kummer parameters {alpha1}, {gam1})"
         )
     return val
 
@@ -298,9 +337,7 @@ def whittaker_w_scaled(idx: WhittakerIndex, z: float) -> float:
     """
     if not (z > 0.0 and math.isfinite(z)):
         raise DomainError(f"Whittaker argument must be positive and finite, got {z}")
-    a, b = idx.a, idx.b
-    if b.real < 0.0 or b.imag < 0.0:
-        b = -b  # W is symmetric in b -> -b; keep the series poles one-sided
+    a, b = idx.a, _upper(idx.b)
     if b.imag == 0.0 and abs(1.0 - 2.0 * b.real) <= _HALF_DEGENERATE:
         return _w_scaled_halfint(a, z)
     if z > Z_SWITCH:
@@ -309,11 +346,9 @@ def whittaker_w_scaled(idx: WhittakerIndex, z: float) -> float:
         # gamma poles at b = 0; W is even in b, so extrapolate from two
         # real offsets (error O(h^4) ~ 1e-20 plus the O(|b|^2) <= 1e-12
         # distance to the requested index)
-        h = 1e-5
-        w1 = _w_scaled_series(a, complex(h), z)
-        w2 = _w_scaled_series(a, complex(2.0 * h), z)
+        w1, w2 = (_w_scaled_series(off._coefficients, z) for off in idx._offsets)
         return (4.0 * w1 - w2) / 3.0
-    return _w_scaled_series(a, b, z)
+    return _w_scaled_series(idx._coefficients, z)
 
 
 def whittaker_w(idx: WhittakerIndex, z: float) -> float:

@@ -166,6 +166,20 @@ class TestPdfApprox:
             assert ap.pdf(0.0) == 0.0
             assert ap.pdf(20.5) == 0.0
 
+    @pytest.mark.parametrize("mu,A", [(1.0, 3.0), (1.1, 60.0)])
+    def test_zero_at_and_nonnegative_below_threshold(self, mu, A):
+        # unclamped, order 3 gave -5.6e-17 at x = A = 3, and orders 2 and 3
+        # gave +5.2e-20 and -3.4e-20 at x = A = 60
+        p = ModelParams(mu=mu, A=A)
+        xs = [A * i / 49 for i in range(50)]  # the CLI's 50-point grid
+        for order in (1, 2, 3):
+            try:
+                ap = build_approx(p, order)
+            except ThresholdTooSmallError:
+                continue  # order 2 at mu=1, A=3
+            assert ap.pdf(A) == 0.0, (mu, A, order)
+            assert min(ap.pdf(x) for x in xs) >= 0.0, (mu, A, order)
+
     def test_error_ordering_on_grid(self, sol_mu1_A20):
         p = ModelParams(mu=1.0, A=20.0)
         approxes = {k: build_approx(p, k) for k in (1, 2, 3)}

@@ -35,6 +35,33 @@ SCAN_MODES = {
 }
 
 
+# (x, pdf(x), cdf(x)) as computed when every pdf/cdf point built its own
+# Whittaker index, at real b (mu=1, A=20), imaginary b (mu=1, A=3) and large
+# c (mu=1.2, A=1000); x covers the asymptotic (z > 16) and series branches
+LAW_VALUES = {
+    (1.0, 20.0): [
+        (0.1, 5.781295681619023e-07, 2.891424524419448e-09),
+        (0.7, 0.31730786028429475, 0.07845768843041864),
+        (2.0, 0.2301448419203254, 0.48359683871143533),
+        (9.0, 0.014625132866909404, 0.952651359348858),
+        (19.9, 2.971708260712121e-05, 0.9999985189801127),
+    ],
+    (1.0, 3.0): [
+        (0.1, 1.928435914147422e-06, 9.666362805153696e-09),
+        (0.5, 0.5480308016636959, 0.07204253497218707),
+        (1.0, 0.7462806341606737, 0.4455945906294952),
+        (2.0, 0.22068518327578046, 0.9091978870633189),
+        (2.9, 0.012858648148114724, 0.9993689467347131),
+    ],
+    (1.2, 1000.0): [
+        (0.05, 4.844268105142064e-10, 8.719697365618754e-13),
+        (0.5, 0.3486529896200149, 0.06276465233421723),
+        (3.0, 0.09779302272411491, 0.6347601654201621),
+        (100.0, 0.0001244488852595361, 0.9906898030435337),
+        (990.0, 1.427110879262439e-08, 0.9999999291211864),
+    ],
+}
+
 def quad_pdf(sol, lo, hi):
     val, _ = quad(lambda x: pdf(x, sol), lo, hi, epsabs=1e-11, epsrel=1e-11, limit=400)
     return val
@@ -95,6 +122,14 @@ class TestPdf:
         for x in np.linspace(0.2, 19.8, 200):
             assert pdf(float(x), sol_mu1_A20) > 0.0, x
 
+
+class TestRecordedValues:
+    @pytest.mark.parametrize("mu,A", sorted(LAW_VALUES))
+    def test_pdf_and_cdf(self, mu, A):
+        sol = build_solution(ModelParams(mu=mu, A=A))
+        for x, q, Q in LAW_VALUES[(mu, A)]:
+            assert pdf(x, sol) == pytest.approx(q, rel=1e-14), x
+            assert cdf(x, sol) == pytest.approx(Q, rel=1e-14), x
 
 class TestCdf:
     def test_boundaries(self, sol_mu1_A20):

@@ -12,6 +12,7 @@ from oracles import (
     spouge_gamma,
     whittaker_ode_value,
 )
+import qsd_sr.specfun as specfun
 from qsd_sr import (
     DomainError,
     ModelParams,
@@ -25,6 +26,7 @@ from qsd_sr import (
     speed_density,
     stationary_cdf,
     whittaker_w,
+    whittaker_w_scaled,
 )
 from qsd_sr.specfun import (
     EULER_GAMMA,
@@ -183,12 +185,12 @@ class TestWhittakerW:
         for a in (1, 2):
             for b in (0.1, 0.45, 0.3j):
                 for z in (Z_SWITCH - 1.5, Z_SWITCH, Z_SWITCH + 1.5):
-                    s = _w_scaled_series(a, complex(b), z)
+                    s = _w_scaled_series(WhittakerIndex(a, b)._coefficients, z)
                     asy = _w_scaled_asymptotic(a, (complex(b) ** 2).real, z)
                     assert abs(s - asy) / abs(asy) < 1e-8, (a, b, z)
         for b in (0.25, 0.45, 0.3j):
             for z in (Z_SWITCH - 0.5, Z_SWITCH, Z_SWITCH + 0.5):
-                s = _w_scaled_series(0, complex(b), z)
+                s = _w_scaled_series(WhittakerIndex(0, b)._coefficients, z)
                 asy = _w_scaled_asymptotic(0, (complex(b) ** 2).real, z)
                 assert abs(s - asy) / abs(asy) < 1e-7, (b, z)
 
@@ -227,6 +229,90 @@ class TestWhittakerW:
             whittaker_w(WhittakerIndex(1, 0.25), 0.0)
         with pytest.raises(DomainError):
             whittaker_w(WhittakerIndex(1, 0.25), -2.0)
+
+
+class TestIndexReuse:
+    """An index computes its connection coefficients at most once, on its
+    first series-branch evaluation, and a reused index gives exactly what a
+    fresh one gives."""
+
+    # one index per branch of whittaker_w_scaled, with z on that branch
+    BRANCHES = {
+        "real series": ((1, 0.3), (0.05, 0.7, 2.0, 9.0, Z_SWITCH)),
+        "real series, negative b": ((2, -0.45), (0.3, 4.0, 15.0)),
+        "imaginary series": ((1, 0.4j), (0.05, 0.7, 2.0, 9.0, Z_SWITCH)),
+        "b ~ 0 extrapolation": ((0, 1e-7), (0.1, 1.0, 7.5)),
+        "b = 1/2 closed form": ((2, 0.5), (0.5, 3.0, 40.0)),
+        "asymptotic": ((1, 0.3), (Z_SWITCH + 0.5, 40.0, 700.0)),
+    }
+
+    @staticmethod
+    def _count_gamma_calls(monkeypatch):
+        calls = []
+        real = specfun.gamma_cx
+
+        def counting(z):
+            calls.append(z)
+            return real(z)
+
+        monkeypatch.setattr(specfun, "gamma_cx", counting)
+        return calls
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_reused_index_equals_fresh_index(self, branch):
+        (a, b), zs = self.BRANCHES[branch]
+        fresh = [whittaker_w_scaled(WhittakerIndex(a, b), z) for z in zs]
+        idx = WhittakerIndex(a, b)
+        others = [WhittakerIndex(*ab) for ab, _ in self.BRANCHES.values()]
+        for _ in range(2):
+            reused = []
+            for z in zs:
+                reused.append(whittaker_w_scaled(idx, z))
+                for other in others:  # interleave other indices' evaluations
+                    whittaker_w_scaled(other, 1.5)
+            assert reused == fresh, branch
+
+    @pytest.mark.parametrize("b", [0.3, -0.3, 0.4j, 1e-7])
+    def test_series_coefficients_computed_once(self, b, monkeypatch):
+        calls = self._count_gamma_calls(monkeypatch)
+        idx = WhittakerIndex(1, b)
+        whittaker_w_scaled(idx, 1.0)
+        assert calls
+        n_first = len(calls)
+        for z in (0.2, 3.0, 11.0):
+            whittaker_w_scaled(idx, z)
+        assert len(calls) == n_first
+
+    @pytest.mark.parametrize("a,b,z", [
+        (1, 0.5, 2.0),    # b = 1/2 closed form
+        (0, 0.0, 2.0),    # b ~ 0: the coefficients have gamma poles at b = 0
+        (2, 1e-7, 2.0),
+        (2, 0.3, 30.0),   # asymptotic
+        (1, 0.0, 30.0),
+    ])
+    def test_no_coefficients_off_the_series_branch(self, a, b, z):
+        idx = WhittakerIndex(a, b)
+        whittaker_w_scaled(idx, z)
+        assert "_coefficients" not in vars(idx)
+
+    def test_index_identity_unchanged_by_evaluation(self):
+        idx = WhittakerIndex(1, 0.3)
+        before = (repr(idx), hash(idx))
+        for z in (0.5, 2.0, 40.0):
+            whittaker_w_scaled(idx, z)
+        assert "_coefficients" in vars(idx)
+        assert (repr(idx), hash(idx)) == before
+        assert repr(idx) == "WhittakerIndex(a=1, b=(0.3+0j))"
+        assert idx == WhittakerIndex(1, 0.3) and hash(idx) == hash(WhittakerIndex(1, 0.3))
+        assert idx != WhittakerIndex(1, 0.31)
+
+    def test_zero_index_builds_and_evaluates(self):
+        for a in (0, 1, 2):
+            idx = WhittakerIndex(a, 0)
+            for z in (0.5, 2.0, 40.0):
+                val = whittaker_w_scaled(idx, z)
+                assert math.isfinite(val)
+                assert val == whittaker_w_scaled(WhittakerIndex(a, 1e-9), z)
 
 
 # ---------------------------------------------------------------------------
