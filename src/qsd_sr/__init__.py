@@ -35,7 +35,6 @@ from .eigensolver import (
     EigenResult,
     dominant_eigenvalue,
     eigen_bracket,
-    eigenfunction,
 )
 from .qsd import (
     MomentSeries,
@@ -94,7 +93,6 @@ __all__ = [
     "cdf",
     "dominant_eigenvalue",
     "eigen_bracket",
-    "eigenfunction",
     "exp_integral_e1",
     "exp_scaled_e1",
     "gamma_cx",

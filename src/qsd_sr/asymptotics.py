@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .eigensolver import _check_domain
 from .errors import DomainError, ThresholdTooSmallError
 from .qsd import normalization
 from .specfun import ModelParams, SpectralIndex, WhittakerIndex, exp_scaled_e1, meijer_g_special
@@ -176,9 +177,11 @@ LAMBDA_BY_ORDER = {1: lambda_order1, 2: lambda_order2, 3: lambda_order3}
 
 def build_approx(params: ModelParams, order: int) -> ApproxSolution:
     """Assemble the order-1/2/3 approximate solution (eigenvalue plus the
-    exact-law normalization denominator evaluated at that eigenvalue)."""
+    exact-law normalization denominator evaluated at that eigenvalue).
+    Raises :class:`DomainError` below mu^2 A = C_MIN, like the exact law."""
     if order not in LAMBDA_BY_ORDER:
         raise DomainError(f"approximation order must be 1, 2 or 3, got {order}")
+    _check_domain(params)
     lam = LAMBDA_BY_ORDER[order](params)
     se = SpectralIndex.from_lambda(min(lam, 0.0), params.mu)
     denom = normalization(params, WhittakerIndex(0, se.b))

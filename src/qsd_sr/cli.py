@@ -131,7 +131,7 @@ _LAW = {"pdf": (qsd.pdf, "q"), "cdf": (qsd.cdf, "Q")}
 
 def cmd_law(args) -> int:
     fn, column = _LAW[args.command]
-    sol = qsd.build_solution(args.params[0], tol=args.tol)
+    sol = qsd.build_solution(args.params[0])
     rows = [(x, fn(x, sol)) for x in args.xs]
     _write_table(("x", column), rows, args.format, args.out)
     return EXIT_OK
@@ -139,7 +139,7 @@ def cmd_law(args) -> int:
 
 def cmd_approx(args) -> int:
     params = args.params[0]
-    sol = qsd.build_solution(params, tol=args.tol)
+    sol = qsd.build_solution(params)
     orders = (args.order,) if args.order else (1, 2, 3)
     approx = {}
     warnings = []
@@ -315,8 +315,12 @@ def _add_common(sp, model=True):
         sp.add_argument("--A", type=float, action="append",
                         help="detection threshold (repeatable for table)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--tol", type=float, default=None, help="tolerance")
     sp.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
+
+
+def _add_golden_tol(sp):
+    sp.add_argument("--tol", type=float, default=1e-10,
+                    help="largest accepted deviation of the eigenvalue from the golden table")
 
 
 def build_parser() -> _Parser:
@@ -325,7 +329,8 @@ def build_parser() -> _Parser:
 
     t = sub.add_parser("table", help="eigenvalue table with order-1/2/3 approximations")
     _add_common(t)
-    t.set_defaults(fn=cmd_table, default_tol=1e-10, default_A=DEFAULT_THRESHOLDS)
+    _add_golden_tol(t)
+    t.set_defaults(fn=cmd_table, default_A=DEFAULT_THRESHOLDS)
 
     for name, fn in (("pdf", cmd_law), ("cdf", cmd_law), ("approx", cmd_approx)):
         sp = sub.add_parser(name, help=f"tabulate {name} on a grid")
@@ -336,30 +341,27 @@ def build_parser() -> _Parser:
         if name == "approx":
             sp.add_argument("--order", type=int, choices=(1, 2, 3), default=None,
                             help="single approximation order (default: all three)")
-        sp.set_defaults(fn=fn, default_tol=1e-13, default_A=(20.0,))
+        sp.set_defaults(fn=fn, default_A=(20.0,))
 
     v = sub.add_parser("validate", help="run verification suites")
     _add_common(v, model=False)
+    _add_golden_tol(v)
     v.add_argument("--skip", action="append", choices=("exact", "identities", "sl", "mc"),
                    help="suite to skip (repeatable)")
     v.add_argument("--seed", type=int, default=20260810)
     v.add_argument("--paths", type=int, default=200000)
     v.add_argument("--dt", type=float, default=1e-3)
     v.add_argument("--horizon", type=float, default=18.0)
-    v.set_defaults(fn=cmd_validate, default_tol=1e-10)
+    v.set_defaults(fn=cmd_validate)
     return ap
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    # grid commands pass --tol to the eigensolver, which needs it positive
     grid = "grid" in args
-    if args.tol is None:
-        args.tol = args.default_tol
-    elif not ((args.tol > 0.0 if grid else args.tol >= 0.0) and math.isfinite(args.tol)):
-        kind = "positive" if grid else "nonnegative"
-        ap.error(f"--tol must be a {kind} finite number, got {args.tol}")
+    if "tol" in args and not (args.tol >= 0.0 and math.isfinite(args.tol)):
+        ap.error(f"--tol must be a nonnegative finite number, got {args.tol}")
     if "mu" in args:  # every command but validate
         thresholds = args.A or args.default_A
         if grid and len(thresholds) > 1:

@@ -5,10 +5,10 @@ The eigenvalue is the largest nonpositive root lam of
     W_{1, xi(lam)/2}( 2/(mu^2 A) ) = 0,      xi(lam) = sqrt(1 + 8 lam/mu^2),
 
 searched inside the closed-form bracket obtained from non-negativity of the
-law's variance.  The bracket is scanned on a uniform grid to locate every
-sign change (the bracket provably contains the dominant root, but uniqueness
-inside it is an empirical matter, hence the runtime check), then the
-right-most sign change is polished by bisection followed by secant steps.
+law's variance.  One 65-node uniform scan of the bracket locates every sign
+change (the bracket provably contains the dominant root, but uniqueness
+inside it is an empirical matter, hence the runtime check); the single sign
+change is polished by bisection followed by secant steps.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .specfun import (
     SpectralIndex,
     WhittakerIndex,
     whittaker_w,
-    whittaker_w_scaled,
 )
 
 __all__ = [
@@ -30,12 +29,17 @@ __all__ = [
     "EigenResult",
     "eigen_bracket",
     "dominant_eigenvalue",
-    "eigenfunction",
 ]
 
-DEFAULT_TOL = 1e-13
+# root tolerance of the polish, and the number of scan intervals
+ROOT_TOL = 1e-13
 SCAN_NODES = 64
-MAX_SCAN_NODES = 4096
+
+# Smallest c = mu^2 A accepted.  Below it the imaginary second index grows
+# past what the Whittaker kernel resolves: the eigenvalue drifts towards
+# -2/c (-16.67 at c = 0.12, where the grid oracle gives -63.2) and the law
+# loses normalization (|int q - 1| = 4.1e-6 at c = 0.3, 3.9e-10 at 0.5).
+C_MIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,13 @@ def eigen_bracket(params: ModelParams) -> EigenBracket:
     lo = -1.0 / A - (1.0 + root) / (2.0 * mu2 * A * A)
     hi = -1.0 / A - (1.0 - root) / (2.0 * mu2 * A * A)
     return EigenBracket(lo=lo, hi=hi)
+
+
+def _check_domain(params: ModelParams) -> None:
+    """Raise :class:`DomainError` unless c = mu^2 A >= C_MIN."""
+    c = params.mu2 * params.A
+    if not (c >= C_MIN):
+        raise DomainError(f"mu^2 A = {c:.6g} lies below the checked domain mu^2 A >= {C_MIN}")
 
 
 def _eigen_equation(lam: float, params: ModelParams) -> float:
@@ -101,69 +112,45 @@ def _polish(f, a: float, b: float, fa: float, fb: float, tol: float):
     return 0.5 * (a + b) if abs(f1) > abs(f0) else x1, evals
 
 
-def dominant_eigenvalue(params: ModelParams, tol: float = DEFAULT_TOL) -> EigenResult:
+def dominant_eigenvalue(params: ModelParams) -> EigenResult:
     """Locate the dominant (largest nonpositive) eigenvalue.
 
-    Scans the analytic bracket on 64 nodes, doubling the resolution when the
-    count of sign changes is not exactly one; raises :class:`BracketError`
-    when no sign change exists and :class:`AmbiguousRootError` (with all
-    polished candidates) when several persist.
+    Evaluates the eigen equation at the 65 nodes of a uniform 64-interval
+    grid over the analytic bracket.  Exactly one sign change is polished to
+    the fixed root tolerance ROOT_TOL.  No sign change raises
+    :class:`BracketError`; several raise :class:`AmbiguousRootError` with
+    every candidate polished.  A finer grid cannot help: it contains every
+    node of the coarser one, so it only keeps or adds sign changes.  Raises
+    :class:`DomainError` below ``c = mu^2 A = C_MIN``.
     """
-    if not (tol > 0.0):
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    _check_domain(params)
     br = eigen_bracket(params)
 
-    n = SCAN_NODES
-    while True:
-        xs = [br.lo + (br.hi - br.lo) * i / n for i in range(n + 1)]
-        vs = [_eigen_equation(x, params) for x in xs]
-        evals = n + 1
-        intervals = []
-        for i in range(n):
-            if vs[i] == 0.0:
-                intervals.append((xs[i], xs[i], vs[i], vs[i]))
-            elif vs[i + 1] != 0.0 and (vs[i] < 0.0) != (vs[i + 1] < 0.0):
-                intervals.append((xs[i], xs[i + 1], vs[i], vs[i + 1]))
-        if vs[-1] == 0.0:
-            intervals.append((xs[-1], xs[-1], 0.0, 0.0))
-        if len(intervals) == 1:
-            break
-        if len(intervals) == 0:
-            if n >= MAX_SCAN_NODES:
-                raise BracketError(br.lo, br.hi, vs[0], vs[-1])
-        elif n >= MAX_SCAN_NODES:
-            roots = []
-            for a, b, fa, fb in intervals:
-                r = a if a == b else _polish(lambda l: _eigen_equation(l, params), a, b, fa, fb, tol)[0]
-                roots.append(r)
-            raise AmbiguousRootError(sorted(roots))
-        n *= 2
+    def eq(lam):
+        return _eigen_equation(lam, params)
 
-    a, b, fa, fb = intervals[-1]
-    if a == b:
-        lam = a
-    else:
-        lam, more = _polish(lambda l: _eigen_equation(l, params), a, b, fa, fb, tol)
-        evals += more
+    xs = [br.lo + (br.hi - br.lo) * i / SCAN_NODES for i in range(SCAN_NODES + 1)]
+    vs = [eq(x) for x in xs]
+    intervals = []
+    for i in range(SCAN_NODES):
+        if vs[i] == 0.0:
+            intervals.append((xs[i], xs[i], vs[i], vs[i]))
+        elif vs[i + 1] != 0.0 and (vs[i] < 0.0) != (vs[i + 1] < 0.0):
+            intervals.append((xs[i], xs[i + 1], vs[i], vs[i + 1]))
+    if vs[-1] == 0.0:
+        intervals.append((xs[-1], xs[-1], 0.0, 0.0))
+    if not intervals:
+        raise BracketError(br.lo, br.hi, vs[0], vs[-1])
+    roots = [(a, 0) if a == b else _polish(eq, a, b, fa, fb, ROOT_TOL)
+             for a, b, fa, fb in intervals]
+    if len(roots) > 1:
+        raise AmbiguousRootError(sorted(r for r, _ in roots))
+
+    lam, more = roots[0]
     lam = min(lam, 0.0)
     return EigenResult(
         lam=lam,
-        residual=abs(_eigen_equation(lam, params)),
-        iterations=evals,
+        residual=abs(eq(lam)),
+        iterations=SCAN_NODES + 1 + more,
         bracket=br,
     )
-
-
-def eigenfunction(x: float, se: SpectralIndex, params: ModelParams) -> float:
-    """Generator eigenfunction phi(x, lam) with the free constant fixed to 1:
-
-        phi(x, lam) = (mu^2 x / 2) exp(1/(mu^2 x)) W_{1, xi/2}(2/(mu^2 x)).
-
-    Since (mu^2 x/2) = 1/z with z = 2/(mu^2 x), this equals the scaled form
-    exp(z/2) z^-1 W_{1,b}(z), which stays finite for x -> 0 (limit 1).
-    """
-    if not (0.0 < x <= params.A):
-        raise DomainError(f"eigenfunction argument must lie in (0, A], got {x}")
-    z = 2.0 / (params.mu2 * x)
-    return whittaker_w_scaled(WhittakerIndex(1, se.b), z)
-

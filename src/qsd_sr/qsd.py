@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .eigensolver import DEFAULT_TOL, EigenResult, _polish, dominant_eigenvalue
+from .eigensolver import EigenResult, _polish, dominant_eigenvalue
 from .errors import ConvergenceError, DomainError
 from .specfun import ModelParams, SpectralIndex, WhittakerIndex, whittaker_w_scaled
 
@@ -78,9 +78,9 @@ def normalization(params: ModelParams, w0: WhittakerIndex) -> float:
     return denom
 
 
-def build_solution(params: ModelParams, tol: float = DEFAULT_TOL) -> QsdSolution:
+def build_solution(params: ModelParams) -> QsdSolution:
     """Solve the eigenvalue problem and assemble the normalization."""
-    eig = dominant_eigenvalue(params, tol=tol)
+    eig = dominant_eigenvalue(params)
     se = SpectralIndex.from_lambda(eig.lam, params.mu)
     w0, w1, w2 = (WhittakerIndex(a, se.b) for a in (0, 1, 2))
     return QsdSolution(params=params, se=se, denom=normalization(params, w0), eigen=eig,

@@ -1,14 +1,25 @@
 import pytest
+from scipy.integrate import quad
 
 from conftest import REFERENCE_TABLE
 from qsd_sr import (
+    AmbiguousRootError,
+    BracketError,
     DomainError,
     ModelParams,
     SpectralIndex,
+    WhittakerIndex,
+    build_approx,
+    build_solution,
+    cdf,
     dominant_eigenvalue,
     eigen_bracket,
-    eigenfunction,
+    mode,
+    pdf,
+    sturm_liouville_eigen,
+    whittaker_w_scaled,
 )
+from qsd_sr import eigensolver
 
 PARAM_SWEEP = [(mu, A) for mu in (0.5, 1.0, 1.5) for A in (5.0, 20.0, 100.0)]
 
@@ -63,20 +74,79 @@ class TestDominantEigenvalue:
             lam_neg = dominant_eigenvalue(ModelParams(mu=-mu, A=A)).lam
             assert lam_pos == lam_neg, (mu, A)
 
-    def test_tolerance_validation(self):
-        with pytest.raises(DomainError):
-            dominant_eigenvalue(ModelParams(mu=1.0, A=20.0), tol=0.0)
-
     def test_nonpositive(self):
         for mu, A in PARAM_SWEEP:
             assert dominant_eigenvalue(ModelParams(mu=mu, A=A)).lam <= 0.0
 
 
+class TestSingleScan:
+    PARAMS = ModelParams(mu=1.0, A=20.0)
+
+    def test_no_sign_change_raises_after_one_scan(self, monkeypatch):
+        calls = []
+
+        def no_root(lam, params):
+            calls.append(lam)
+            return 1.0
+
+        monkeypatch.setattr(eigensolver, "_eigen_equation", no_root)
+        with pytest.raises(BracketError):
+            dominant_eigenvalue(self.PARAMS)
+        assert len(calls) <= 65
+
+    def test_three_sign_changes_report_every_root(self, monkeypatch):
+        br = eigen_bracket(self.PARAMS)
+        roots = [br.lo + (br.hi - br.lo) * f for f in (0.87, 0.21, 0.53)]
+
+        def three_roots(lam, params):
+            return (lam - roots[0]) * (lam - roots[1]) * (lam - roots[2])
+
+        monkeypatch.setattr(eigensolver, "_eigen_equation", three_roots)
+        with pytest.raises(AmbiguousRootError) as exc:
+            dominant_eigenvalue(self.PARAMS)
+        assert len(exc.value.roots) == 3
+        assert list(exc.value.roots) == sorted(exc.value.roots)
+        assert exc.value.roots == pytest.approx(sorted(roots), abs=1e-12)
+
+
+class TestCheckedDomain:
+    @pytest.mark.parametrize("mu", [1.0, 2.0])
+    @pytest.mark.parametrize("c", [0.01, 0.12, 0.3, 0.49])
+    def test_below_c_min_raises(self, mu, c):
+        p = ModelParams(mu=mu, A=c / mu**2)
+        with pytest.raises(DomainError):
+            dominant_eigenvalue(p)
+        with pytest.raises(DomainError):
+            build_solution(p)
+        for order in (1, 2, 3):
+            with pytest.raises(DomainError):
+                build_approx(p, order)
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+    def test_law_at_c_min(self, mu):
+        p = ModelParams(mu=mu, A=eigensolver.C_MIN / mu**2)
+        sol = build_solution(p)
+        total, _ = quad(lambda x: pdf(x, sol), 0.0, p.A, epsabs=1e-11, epsrel=1e-10, limit=300)
+        assert abs(total - 1.0) <= 1e-8
+        lam_grid = sturm_liouville_eigen(p, 20000).lambda_hat
+        assert abs(lam_grid - sol.se.lam) <= 1e-6 * abs(sol.se.lam)
+        assert cdf(p.A, sol) == 1.0
+        m = mode(sol)
+        assert 0.0 < m < p.A
+        assert pdf(m, sol) > max(pdf(0.99 * m, sol), pdf(1.01 * m, sol))
+
+
 class TestEigenfunction:
+    # phi(x, lam) = exp(z/2) z^-1 W_{1,b}(z), z = 2/(mu^2 x), constant fixed to 1
+
+    @staticmethod
+    def phi(x, se, params):
+        return whittaker_w_scaled(WhittakerIndex(1, se.b), 2.0 / (params.mu2 * x))
+
     def test_dirichlet_at_threshold(self, sol_mu1_A20, params_mu1_A20):
-        phi_a = eigenfunction(20.0, sol_mu1_A20.se, params_mu1_A20)
+        phi_a = self.phi(20.0, sol_mu1_A20.se, params_mu1_A20)
         grid_max = max(
-            eigenfunction(x, sol_mu1_A20.se, params_mu1_A20)
+            self.phi(x, sol_mu1_A20.se, params_mu1_A20)
             for x in [20.0 * k / 64 for k in range(1, 64)]
         )
         assert abs(phi_a) < 1e-9 * grid_max
@@ -84,21 +154,15 @@ class TestEigenfunction:
     def test_positive_inside(self, sol_mu1_A20, params_mu1_A20):
         for k in range(1, 400):
             x = 20.0 * k / 400.0
-            assert eigenfunction(x, sol_mu1_A20.se, params_mu1_A20) > 0.0, x
+            assert self.phi(x, sol_mu1_A20.se, params_mu1_A20) > 0.0, x
 
     def test_constant_at_lambda_zero(self, params_mu1_A20):
         se0 = SpectralIndex.from_lambda(0.0, 1.0)
         vals = [
-            eigenfunction(x, se0, params_mu1_A20) for x in (1e-4, 0.1, 1.0, 10.0, 20.0)
+            self.phi(x, se0, params_mu1_A20) for x in (1e-4, 0.1, 1.0, 10.0, 20.0)
         ]
         for v in vals:
             assert v == pytest.approx(1.0, rel=1e-10)
-
-    def test_domain(self, sol_mu1_A20, params_mu1_A20):
-        with pytest.raises(DomainError):
-            eigenfunction(0.0, sol_mu1_A20.se, params_mu1_A20)
-        with pytest.raises(DomainError):
-            eigenfunction(20.5, sol_mu1_A20.se, params_mu1_A20)
 
 
 class TestMonotonicity:
