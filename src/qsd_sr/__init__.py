@@ -57,15 +57,19 @@ from .asymptotics import (
     lambda_order3,
     whittaker_expansion3,
 )
-from .oracle import (
-    EmpiricalLaw,
-    GridSolution,
-    index_derivative_check,
-    integral_identity_check,
-    norm_identity_check,
-    simulate_killed_sr,
-    sturm_liouville_eigen,
-)
+
+
+def __getattr__(name):
+    # The names of __all__ not bound above are the oracles' (EmpiricalLaw,
+    # GridSolution, sturm_liouville_eigen, ...), which need numpy and scipy.
+    # They load on first access (PEP 562), so importing the package pulls in
+    # neither.
+    if name in __all__:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

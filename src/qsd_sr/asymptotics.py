@@ -32,7 +32,14 @@ from dataclasses import dataclass
 from .eigensolver import _check_domain
 from .errors import DomainError, ThresholdTooSmallError
 from .qsd import normalization
-from .specfun import ModelParams, SpectralIndex, WhittakerIndex, exp_scaled_e1, meijer_g_special
+from .specfun import (
+    ModelParams,
+    SpectralIndex,
+    WhittakerIndex,
+    _g_and_l,
+    exp_scaled_e1,
+    meijer_g_special,
+)
 
 __all__ = [
     "ApproxSolution",
@@ -69,10 +76,9 @@ class ApproxSolution:
 
 
 def _expansion_coefficients(u: float):
-    """The kernels of the lam^2 and lam^3 terms, (L(u), G(u) - 2 L(u)), with
-    G evaluated once and L(u) = e^u E1(u) - 1 + u G(u) built from it."""
-    gee = meijer_g_special(u)
-    ell = exp_scaled_e1(u) - 1.0 + u * gee
+    """The kernels of the lam^2 and lam^3 terms, (L(u), G(u) - 2 L(u)), from
+    one evaluation of G."""
+    gee, ell = _g_and_l(u)
     return ell, gee - 2.0 * ell
 
 

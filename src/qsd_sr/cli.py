@@ -24,10 +24,8 @@ import json
 import math
 import sys
 
-from scipy.integrate import quad
-
-from . import asymptotics, oracle, qsd
-from .eigensolver import dominant_eigenvalue
+from . import asymptotics, qsd
+from .eigensolver import _check_domain, dominant_eigenvalue
 from .errors import DomainError, QsdError, ThresholdTooSmallError
 from .specfun import ModelParams, exp_scaled_e1, meijer_g_special
 
@@ -181,6 +179,8 @@ def _check(name, group, residual, tolerance, detail=""):
 
 
 def _validate_exact(tol):
+    from scipy.integrate import quad
+
     checks = []
     names = ("eigenvalue", "lambda_order1", "lambda_order2", "lambda_order3")
     for a, refs in REFERENCE_TABLE.items():
@@ -206,6 +206,10 @@ def _validate_exact(tol):
 
 
 def _validate_identities():
+    from scipy.integrate import quad
+
+    from . import oracle
+
     checks = []
     for b, z in ((0.2, 1.0), (0.5, 2.0), (0.25j, 0.5)):
         res = oracle.integral_identity_check(b, z)
@@ -221,6 +225,8 @@ def _validate_identities():
 
 
 def _validate_sl(n_grid=20000):
+    from . import oracle
+
     p = ModelParams(mu=1.0, A=20.0)
     sol = qsd.build_solution(p)
     grid_sol = oracle.sturm_liouville_eigen(p, n_grid)
@@ -237,6 +243,8 @@ def _validate_sl(n_grid=20000):
 
 
 def _validate_mc(args):
+    from . import oracle
+
     p = ModelParams(mu=1.0, A=20.0)
     sol = qsd.build_solution(p)
     law = oracle.simulate_killed_sr(
@@ -368,6 +376,8 @@ def main(argv=None) -> int:
             ap.error(f"--A may be given only once for {args.command}")
         try:
             args.params = [ModelParams(mu=args.mu, A=a) for a in thresholds]
+            for p in args.params:
+                _check_domain(p)
         except DomainError as exc:
             ap.error(str(exc))
     if grid:

@@ -104,6 +104,22 @@ def quad_e1(x):
     return i1 + i2
 
 
+def quad_meijer_g(x):
+    """G(x) = int_0^inf e^(-x y) log(1+y)/y dy by adaptive quadrature after
+    y = e^v, which leaves the smooth integrand exp(-x e^v) log1p(e^v) on the
+    line.  It is split where log1p bends (v = 0) and where the exponential
+    cuts off (v = -log x); the range drops tails below ~1e-17 relative."""
+    lo = min(0.0, -math.log(x)) - 40.0
+    hi = math.log(60.0 / x)
+    cuts = sorted({lo, hi, *(v for v in (0.0, -math.log(x)) if lo < v < hi)})
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        val, _ = quad(lambda v: math.exp(-x * math.exp(v)) * math.log1p(math.exp(v)),
+                      a, b, epsabs=0.0, epsrel=1e-13, limit=400)
+        total += val
+    return total
+
+
 def quad_meijer_tail_form(x, exe1):
     """G(x) as int_x^inf e^y E1(y) dy/y, the alternative representation;
     ``exe1`` supplies exp(y) E1(y)."""

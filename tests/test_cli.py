@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qsd_sr.cli import EXIT_FAILURE, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from qsd_sr.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
 def run_cli(capsys, *argv):
@@ -74,9 +74,11 @@ class TestTable:
         ["pdf", "--tol", "1e-13"],
         ["cdf", "--tol", "1e-13"],
         ["approx", "--tol", "1e-13"],
+        ["table", "--A", "20", "--A", "0.3"],
     ], ids=["mu-nan", "mu-inf", "A-inf", "A-nan", "grid-1", "xmin-above-xmax",
             "validate-A-format", "validate-mu", "pdf-A-twice", "cdf-A-twice",
-            "approx-A-twice", "pdf-tol-0", "pdf-tol", "cdf-tol", "approx-tol"])
+            "approx-A-twice", "pdf-tol-0", "pdf-tol", "cdf-tol", "approx-tol",
+            "table-below-domain"])
     def test_bad_arguments_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -142,11 +144,13 @@ class TestGridCommands:
         assert modes[0] > modes[1] > modes[2]
 
     @pytest.mark.parametrize("command", ["pdf", "cdf", "approx"])
-    def test_below_checked_domain_is_failure(self, capsys, command):
-        code, out, err = run_cli(capsys, command, "--mu", "2", "--A", "0.1")
-        assert code == EXIT_FAILURE
-        assert out == ""
-        assert "below the checked domain" in err
+    def test_below_checked_domain_is_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--mu", "2", "--A", "0.1"])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "below the checked domain" in captured.err
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -8,6 +8,7 @@ from oracles import (
     quad_gamma,
     gamma_reflection_residual,
     quad_e1,
+    quad_meijer_g,
     quad_meijer_tail_form,
     spouge_gamma,
     whittaker_ode_value,
@@ -31,6 +32,9 @@ from qsd_sr import (
 from qsd_sr.specfun import (
     EULER_GAMMA,
     Z_SWITCH,
+    _LAGUERRE_RULE,
+    _g_laguerre,
+    _g_series,
     _w_scaled_asymptotic,
     _w_scaled_series,
 )
@@ -381,8 +385,43 @@ class TestMeijerG:
         with pytest.raises(DomainError):
             meijer_g_special(0.0)
 
+    def test_against_quadrature_oracle(self):
+        # 121 log-spaced points over [1e-6, 1e6], both branches
+        for x in np.logspace(-6.0, 6.0, 121):
+            x = float(x)
+            assert meijer_g_special(x) == pytest.approx(quad_meijer_g(x), rel=1e-11), x
+
+    def test_laguerre_table(self):
+        # against numpy's independently computed rule (its weights carry up
+        # to 7e-13 relative error), and the moments int e^-s s^k ds = k!,
+        # which the kept nodes reproduce for k <= 5
+        from numpy.polynomial.laguerre import laggauss
+
+        nodes, weights = laggauss(60)
+        for (s, w_over_s), s_ref, w_ref in zip(_LAGUERRE_RULE, nodes, weights):
+            assert s == pytest.approx(s_ref, rel=1e-12)
+            assert w_over_s * s == pytest.approx(w_ref, rel=1e-11)
+        for k in range(6):
+            moment = math.fsum(w * s ** (k + 1) for s, w in _LAGUERRE_RULE)
+            assert moment == pytest.approx(math.factorial(k), rel=1e-14), k
+
+    def test_branch_agreement(self):
+        # series and Gauss-Laguerre evaluated at the same point
+        for x in (1.2, 1.5, 2.0):
+            series = _g_series(x)
+            assert abs(series - _g_laguerre(x)) < 1e-13 * series, x
+
 
 class TestLowerBound:
+    def test_expansion_kernels_share_l(self):
+        # the lam^2 and lam^3 kernels of the expansion use this same L
+        from qsd_sr.asymptotics import _expansion_coefficients
+
+        for x in (0.01, 1.0, 1.5, 40.0):
+            ell, cubic = _expansion_coefficients(x)
+            assert ell == lower_bound_l(x)
+            assert cubic == meijer_g_special(x) - 2.0 * ell
+
     def test_vanishes_at_infinity(self):
         assert abs(lower_bound_l(1000.0)) < 1e-2
 
