@@ -242,14 +242,16 @@ def _validate_sl(n_grid=20000):
     return checks
 
 
+# the Monte-Carlo suite's model and headstart
+_MC_PARAMS, _MC_HEADSTART = ModelParams(mu=1.0, A=20.0), 5.0
+
+
 def _validate_mc(args):
     from . import oracle
 
-    p = ModelParams(mu=1.0, A=20.0)
-    sol = qsd.build_solution(p)
-    law = oracle.simulate_killed_sr(
-        p, r=5.0, dt=args.dt, T=args.horizon, n_paths=args.paths, seed=args.seed
-    )
+    sol = qsd.build_solution(_MC_PARAMS)
+    law = oracle.simulate_killed_sr(_MC_PARAMS, r=_MC_HEADSTART, dt=args.dt, T=args.horizon,
+                                    n_paths=args.paths, seed=args.seed)
     ks = _ks_distance(law.samples, sol)
     checks = [
         _check(
@@ -370,16 +372,21 @@ def main(argv=None) -> int:
     grid = "grid" in args
     if "tol" in args and not (args.tol >= 0.0 and math.isfinite(args.tol)):
         ap.error(f"--tol must be a nonnegative finite number, got {args.tol}")
-    if "mu" in args:  # every command but validate
-        thresholds = args.A or args.default_A
-        if grid and len(thresholds) > 1:
-            ap.error(f"--A may be given only once for {args.command}")
-        try:
+    try:
+        if "mu" in args:  # every command but validate
+            thresholds = args.A or args.default_A
+            if grid and len(thresholds) > 1:
+                ap.error(f"--A may be given only once for {args.command}")
             args.params = [ModelParams(mu=args.mu, A=a) for a in thresholds]
             for p in args.params:
                 _check_domain(p)
-        except DomainError as exc:
-            ap.error(str(exc))
+        else:
+            from .oracle import _check_mc_args
+
+            _check_mc_args(_MC_PARAMS, _MC_HEADSTART, args.dt, args.horizon, args.paths,
+                           args.seed)
+    except DomainError as exc:
+        ap.error(str(exc))
     if grid:
         xmin = 0.0 if args.xmin is None else args.xmin
         xmax = args.params[0].A if args.xmax is None else args.xmax

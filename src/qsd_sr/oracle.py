@@ -7,8 +7,8 @@ kernel it is checking against:
   (d/dx)[p(x) phi'(x)] = lam m(x) phi(x), p(x) = (mu^2/2) x^2 m(x), with
   zero flux on the first cell face and a Dirichlet condition at A, solved as
   a symmetric tridiagonal eigenproblem,
-* a Monte-Carlo simulator of the killed diffusion dR = dt + mu R dB with
-  deterministic per-chunk substreams, and
+* a Monte-Carlo simulator of the killed diffusion dR = dt + mu R dB that
+  advances all paths as one array on one seeded stream, and
 * quadrature residuals for the integral identity behind the cdf formula and
   for the eigenfunction-norm identity, and a finite-difference residual for
   the index-derivative identities behind the large-threshold expansion.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.integrate import quad
@@ -50,10 +51,10 @@ __all__ = [
 # with subnormal-range blocks).
 _LEFT_EXPONENT_CAP = 80.0
 
-# Monte Carlo: paths are split into this many chunks, one random substream
-# each, so the chunk count fixes the stream layout (and every sample); the
+# Monte Carlo: noise is drawn in blocks of at most this many float32 normals
+# (1 MB), so the constant fixes the draw layout and every sample; the
 # empirical law is histogrammed on this many equal bins over [0, A].
-MC_CHUNKS = 64
+MC_BLOCK = 2**18
 MC_BINS = 200
 
 
@@ -146,26 +147,37 @@ def sturm_liouville_eigen(params: ModelParams, n_grid: int) -> GridSolution:
     return GridSolution(grid=grid, lambda_hat=lam_hat, q_hat=q_hat)
 
 
-def _simulate_chunk(rng, n_paths, r, mu, A, dt, n_steps):
-    """One chunk of paths, sequential in time, alive-set compaction.
-    The draw order (step-major over the alive set of this chunk) is fixed,
-    so a chunk's result depends only on its substream.  Single precision:
-    per-step rounding (~1e-7 relative) is far below the statistical
+def _check_mc_args(params, r, dt, T, n_paths, seed) -> int:
+    """Raise DomainError for arguments simulate_killed_sr cannot run; else return n_steps."""
+    if not (0.0 <= r < params.A):
+        raise DomainError(f"headstart must lie in [0, A), got {r}")
+    if not (0.0 < dt and 10.0 * dt < T and math.isfinite(T / dt)):
+        raise DomainError(f"need finite dt > 0 and horizon T > 10 dt, got dt={dt}, T={T}")
+    if not all(isinstance(v, Integral) for v in (n_paths, seed)) or n_paths < 1 or seed < 0:
+        raise DomainError(f"need integers n_paths >= 1 and seed >= 0, got {n_paths!r}, {seed!r}")
+    return int(round(T / dt))
+
+
+def _survivors(rng, params, r, dt, n_paths, n_steps):
+    """All paths advance as one float32 array R on the normals of ``rng``,
+    drawn k = MC_BLOCK // R.size steps at a time; a running maximum kills at
+    the end of each block every path that reached A at any grid step of it.
+    Per-step rounding (~1e-7 relative) is far below the statistical
     tolerances this simulator serves."""
-    c = np.float32(mu * math.sqrt(dt))
-    dt32 = np.float32(dt)
-    A32 = np.float32(A)
+    c, dt32, A32 = np.float32(params.mu * math.sqrt(dt)), np.float32(dt), np.float32(params.A)
     R = np.full(n_paths, np.float32(r))
-    R = R[R < A32]  # a headstart at or above the threshold dies immediately
-    for _ in range(n_steps):
-        if R.size == 0:
-            break
-        noise = rng.standard_normal(R.size, dtype=np.float32)
-        noise *= R
-        noise *= c
-        R += noise
-        R += dt32
-        R = R[R < A32]
+    while n_steps and R.size:
+        k = max(1, min(n_steps, MC_BLOCK // R.size))
+        F = rng.standard_normal((k, R.size), dtype=np.float32)
+        F *= c
+        F += 1  # F = 1 + mu sqrt(dt) xi in place: the block is the only buffer
+        M = R.copy()  # a headstart at or above A dies with the first block
+        for f in F:
+            R *= f
+            R += dt32
+            np.maximum(M, R, out=M)
+        R = R[M < A32]
+        n_steps -= k
     return R.astype(np.float64)
 
 
@@ -182,25 +194,12 @@ def simulate_killed_sr(
     Paths follow R_{k+1} = R_k + dt + mu R_k sqrt(dt) xi_k and are killed on
     the first step that reaches the threshold; the conditional law of the
     survivors at the horizon is returned as a histogram plus the sorted
-    sample values.  The master seed is split into counter-derived substreams
-    (one per fixed-size chunk of paths), so the result is reproducible
+    sample values.  All paths share the stream ``np.random.default_rng(seed)``
+    drawn in blocks of MC_BLOCK normals, so the result is reproducible
     bit-for-bit for a given seed.
     """
-    if not (0.0 <= r < params.A):
-        raise DomainError(f"headstart must lie in [0, A), got {r}")
-    if not (dt > 0.0 and T > 10.0 * dt):
-        raise DomainError("need dt > 0 and a horizon well beyond one step")
-    if n_paths < 1:
-        raise DomainError("n_paths must be positive")
-    n_steps = int(round(T / dt))
-    n_chunks = min(MC_CHUNKS, n_paths)
-    sizes = [n_paths // n_chunks + (1 if c < n_paths % n_chunks else 0) for c in range(n_chunks)]
-    streams = np.random.SeedSequence(seed).spawn(n_chunks)
-    survivors = np.concatenate([
-        _simulate_chunk(np.random.Generator(np.random.Philox(stream)), size,
-                        r, params.mu, params.A, dt, n_steps)
-        for stream, size in zip(streams, sizes)
-    ])
+    n_steps = _check_mc_args(params, r, dt, T, n_paths, seed)
+    survivors = _survivors(np.random.default_rng(seed), params, r, dt, n_paths, n_steps)
     if survivors.size == 0:
         raise NoSurvivorsError(
             f"no surviving paths at horizon T={T} (n_paths={n_paths}); "

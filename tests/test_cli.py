@@ -75,10 +75,15 @@ class TestTable:
         ["cdf", "--tol", "1e-13"],
         ["approx", "--tol", "1e-13"],
         ["table", "--A", "20", "--A", "0.3"],
+        ["validate", "--paths", "0"],
+        ["validate", "--dt", "0"],
+        ["validate", "--horizon", "inf"],
+        ["validate", "--seed", "-1"],
     ], ids=["mu-nan", "mu-inf", "A-inf", "A-nan", "grid-1", "xmin-above-xmax",
             "validate-A-format", "validate-mu", "pdf-A-twice", "cdf-A-twice",
             "approx-A-twice", "pdf-tol-0", "pdf-tol", "cdf-tol", "approx-tol",
-            "table-below-domain"])
+            "table-below-domain", "validate-paths-0", "validate-dt-0",
+            "validate-horizon-inf", "validate-seed-negative"])
     def test_bad_arguments_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -1,7 +1,11 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from oracles import ks_distance
+from qsd_sr import oracle
 from qsd_sr import (
     DomainError,
     ModelParams,
@@ -91,6 +95,51 @@ class TestSimulation:
             simulate_killed_sr(params_mu1_A20, r=20.0, dt=1e-2, T=5.0, n_paths=10, seed=1)
         with pytest.raises(DomainError):
             simulate_killed_sr(params_mu1_A20, r=-1.0, dt=1e-2, T=5.0, n_paths=10, seed=1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"T": math.inf}, {"n_paths": 2.5}, {"seed": -1},
+    ], ids=["horizon-inf", "paths-fraction", "seed-negative"])
+    def test_bad_arguments_are_domain_errors(self, params_mu1_A20, kwargs):
+        args = dict(r=5.0, dt=1e-2, T=5.0, n_paths=10, seed=1) | kwargs
+        with pytest.raises(DomainError):
+            simulate_killed_sr(params_mu1_A20, **args)
+
+    def test_layout_pinned(self):
+        # two noise blocks (7084 steps at 37 paths, then the rest); any
+        # change to the draw layout changes this digest and must be deliberate
+        law = simulate_killed_sr(ModelParams(mu=1.0, A=100.0), r=5.0, dt=1e-2, T=90.0,
+                                 n_paths=37, seed=3)
+        assert law.n_survivors == 14
+        assert (hashlib.sha256(law.samples.tobytes()).hexdigest()
+                == "40e821fbbaf6e4db80c7928cd790d770821985aa69cf550fb35ba9b17438cd1e")
+
+    def test_touching_threshold_inside_a_block_kills(self):
+        class FixedDraws:
+            def __init__(self, xi):
+                self.xi = xi
+
+            def standard_normal(self, size, dtype):
+                # one call for the whole run: every step lies in one block
+                assert size == self.xi.shape and dtype == np.float32
+                return self.xi.copy()
+
+        mu, A, r, dt, n_paths, n_steps = 1.0, 20.0, 5.0, 1e-2, 8, 50
+        xi = np.random.default_rng(0).standard_normal((n_steps, n_paths), dtype=np.float32)
+        xi[3, 0], xi[4, 0] = 40.0, -9.0  # path 0 jumps above A, then back below
+        got = oracle._survivors(FixedDraws(xi), ModelParams(mu=mu, A=A), r, dt, n_paths, n_steps)
+
+        c, dt32, A32 = np.float32(mu * math.sqrt(dt)), np.float32(dt), np.float32(A)
+        free = np.full(n_paths, np.float32(r))  # the same paths without the kill
+        R, alive = free.copy(), np.arange(n_paths)
+        peak = free.copy()
+        for row in xi:
+            free = free * (1 + c * row) + dt32
+            peak = np.maximum(peak, free)
+            R = R * (1 + c * row[alive]) + dt32
+            alive, R = alive[R < A32], R[R < A32]
+        assert peak[0] >= A32 and free[0] < A32
+        assert 0 not in alive
+        assert got.size == alive.size and np.array_equal(got, R.astype(np.float64))
 
     def test_ks_smoke(self, sol_mu1_A20, params_mu1_A20):
         # coarse run; the full-size statistical gate lives in acceptance
