@@ -8,21 +8,19 @@ searched inside the closed-form bracket obtained from non-negativity of the
 law's variance.  One 65-node uniform scan of the bracket locates every sign
 change (the bracket provably contains the dominant root, but uniqueness
 inside it is an empirical matter, hence the runtime check); the single sign
-change is polished by bisection followed by secant steps.
+change is polished by bisection followed by secant steps.  Every evaluation
+shares one argument z_A, so the terms of the kernel's trapezoid sum are
+computed once per solve and each evaluation only weights them by cosh(b t_k).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import AmbiguousRootError, BracketError, DomainError
-from .specfun import (
-    ModelParams,
-    SpectralIndex,
-    WhittakerIndex,
-    whittaker_w,
-)
+from .specfun import ModelParams, SpectralIndex, _cosh_bts, _w_terms
 
 __all__ = [
     "EigenBracket",
@@ -35,10 +33,11 @@ __all__ = [
 ROOT_TOL = 1e-13
 SCAN_NODES = 64
 
-# Smallest c = mu^2 A accepted.  Below it the imaginary second index grows
-# past what the Whittaker kernel resolves: the eigenvalue drifts towards
-# -2/c (-16.67 at c = 0.12, where the grid oracle gives -63.2) and the law
-# loses normalization (|int q - 1| = 4.1e-6 at c = 0.3, 3.9e-10 at 0.5).
+# Smallest c = mu^2 A accepted: the domain checked against the oracles.
+# Below it the imaginary second index grows and the kernel's sum of
+# cos(|b| t_k)-weighted terms cancels by about exp(pi |b| / 2).  Measured
+# with quad: |int q - 1| is 7e-16 at c = 0.5, 1e-15 at 0.3 and 3.6e-7 at
+# 0.12, where |b| = 11.2 and lam = -63.201 (the grid oracle gives -63.2).
 C_MIN = 0.5
 
 
@@ -74,10 +73,21 @@ def _check_domain(params: ModelParams) -> None:
         raise DomainError(f"mu^2 A = {c:.6g} lies below the checked domain mu^2 A >= {C_MIN}")
 
 
-def _eigen_equation(lam: float, params: ModelParams) -> float:
-    se = SpectralIndex.from_lambda(lam, params.mu)
+def _eigen_terms(params: ModelParams) -> tuple:
+    """Nodes t_k and weights w_k with W_{1,b}(z_A) = sum_k w_k cosh(b t_k)
+    for every b of the bracket, z_A = 2/(mu^2 A)."""
     z = 2.0 / (params.mu2 * params.A)
-    return whittaker_w(WhittakerIndex(1, se.b), z)
+    ts, ws = _w_terms(1, z)
+    scale = math.exp(-0.5 * z) * z  # W_1 = exp(-z/2) z * scaled W_1
+    return ts, [scale * w for w in ws]
+
+
+def _eigen_equation(lam: float, params: ModelParams, terms: tuple) -> float:
+    """W_{1,b}(z_A) at b = xi(lam)/2, from the terms of :func:`_eigen_terms`;
+    the scan and the polish evaluate the equation only through here."""
+    ts, ws = terms
+    b = SpectralIndex.from_lambda(lam, params.mu).b
+    return sum(map(mul, ws, _cosh_bts(b, ts)))
 
 
 def _polish(f, a: float, b: float, fa: float, fb: float, tol: float):
@@ -125,9 +135,10 @@ def dominant_eigenvalue(params: ModelParams) -> EigenResult:
     """
     _check_domain(params)
     br = eigen_bracket(params)
+    terms = _eigen_terms(params)
 
     def eq(lam):
-        return _eigen_equation(lam, params)
+        return _eigen_equation(lam, params, terms)
 
     xs = [br.lo + (br.hi - br.lo) * i / SCAN_NODES for i in range(SCAN_NODES + 1)]
     vs = [eq(x) for x in xs]

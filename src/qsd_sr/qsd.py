@@ -43,7 +43,7 @@ class QsdSolution:
     parameters, the dominant spectral index, the normalization denominator
     of the closed-form law, and the Whittaker indices W_{0,b}, W_{1,b},
     W_{2,b} of the cdf, the pdf and the pdf's slope, built once so that
-    their connection coefficients are computed once per law."""
+    their factors cosh(b t_k) are computed once per law."""
 
     params: ModelParams
     se: SpectralIndex

@@ -6,7 +6,8 @@ special functions evaluated in plain double precision:
 * the Gamma function for complex arguments (Lanczos approximation),
 * the Whittaker W function ``W_{a,b}(z)`` for first index ``a`` in {0, 1, 2},
   second index ``b`` either real in [0, 1/2] or purely imaginary, and real
-  ``z > 0``,
+  ``z`` in [1e-100, 1e100], all from one trapezoid sum of a modified-Bessel
+  integral,
 * the exponential integral ``E1(x) = int_x^inf exp(-y)/y dy``,
 * the Laplace-type integral ``G(x) = int_0^inf exp(-x y) log(1+y)/y dy``
   (a special case of the Meijer G function),
@@ -15,18 +16,21 @@ special functions evaluated in plain double precision:
   ``m(x) = (2/(mu^2 x^2)) exp(-2/(mu^2 x))`` and cdf ``H(x) = exp(-2/(mu^2 x))``.
 
 The functions hold no global mutable state.  The one mutable thing is per
-index: a :class:`WhittakerIndex` fills its connection coefficients on its
-first series-branch evaluation and keeps them.  That fill is idempotent (every
-thread computes the same value, and a racing write only replaces it with an
-equal one), so indices may be shared between threads.
+index: a :class:`WhittakerIndex` fills its factors cosh(b t_k) on the
+fixed-step nodes on its first evaluation there and keeps them.  That fill is
+idempotent (every thread computes the same value, and a racing write only
+replaces it with an equal one), so indices may be shared between threads.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import mul
 
 from .errors import ConvergenceError, DomainError
 
@@ -43,25 +47,9 @@ __all__ = [
     "lower_bound_l",
     "speed_density",
     "stationary_cdf",
-    "Z_SWITCH",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
-
-# Series/asymptotic hand-off for the Whittaker W evaluation.  The two-term
-# connection formula loses roughly a factor exp(z) to cancellation while the
-# optimally-truncated asymptotic series carries an exp(-z)-sized remainder;
-# the branches cross near z = 16 where both deliver ~1e-11 (first index 1, 2)
-# to ~1e-8 (first index 0) relative accuracy in double precision.
-Z_SWITCH = 16.0
-
-# Below this the second Whittaker index is treated as zero and handled by
-# even-in-b Richardson extrapolation (the connection coefficients have
-# gamma poles at b = 0).
-_B_DEGENERATE = 1e-6
-
-# Below this distance from b = 1/2 the exact closed forms are used.
-_HALF_DEGENERATE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -134,24 +122,16 @@ class WhittakerIndex:
         b = complex(self.b)
         if b.real != 0.0 and b.imag != 0.0:
             raise DomainError(f"second Whittaker index must be real or purely imaginary, got {b}")
-        if b.imag == 0.0 and not (-0.55 <= b.real <= 0.55):
-            raise DomainError(f"real second index must lie in [-0.55, 0.55], got {b.real}")
+        if b.imag == 0.0 and not (abs(b.real) <= _RB_MAX):
+            raise DomainError(f"real second index must lie in [-{_RB_MAX}, {_RB_MAX}], got {b.real}")
         object.__setattr__(self, "b", b)
 
     @cached_property
-    def _coefficients(self) -> tuple:
-        """Constants of the connection formula for this index (see
-        :func:`_connection`), computed on the first series-branch evaluation
-        and kept; they are not dataclass fields, so ``==``, ``hash`` and
-        ``repr`` ignore them."""
-        return _connection(self.a, _upper(self.b))
-
-    @cached_property
-    def _offsets(self) -> tuple:
-        """The real indices (a, h), (a, 2h), h = 1e-5, that the b ~ 0
-        extrapolation evaluates."""
-        h = 1e-5
-        return WhittakerIndex(self.a, h), WhittakerIndex(self.a, 2.0 * h)
+    def _cosh_bt(self) -> tuple:
+        """cosh(b t_k) on the first _N_ROW fixed-step nodes, computed on the
+        first evaluation at x <= _X_FIXED and kept; not a dataclass field,
+        so ``==``, ``hash`` and ``repr`` ignore it."""
+        return tuple(_cosh_bts(self.b, _T[:_N_ROW]))
 
 
 # ---------------------------------------------------------------------------
@@ -208,149 +188,122 @@ def gamma_cx(z: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
 
 
-def _gamma_shifted(eps: complex, n: int) -> complex:
-    """Gamma(eps - n) for integer n >= 0 via downward recurrence.
-
-    Stable arbitrarily close to the poles at the non-positive integers
-    provided ``eps`` itself carries full relative accuracy:
-    Gamma(eps - n) = Gamma(1 + eps) / [eps (eps-1) ... (eps-n)].
-    """
-    den = complex(1.0)
-    for j in range(n + 1):
-        den *= eps - j
-    if den == 0.0:
-        raise DomainError(f"gamma pole at {eps - n}")
-    return gamma_cx(1.0 + eps) / den
-
-
 # ---------------------------------------------------------------------------
 # Whittaker W
 # ---------------------------------------------------------------------------
 
-_KUMMER_MAX_TERMS = 10_000
+# Trapezoid rule for the Bessel integral of whittaker_w_scaled.  The step is
+# _H up to x = z/2 = _X_FIXED and 0.6/sqrt(x) above, where the integrand
+# narrows like exp(-x t^2/2).  The sum keeps the nodes with
+# x (cosh t - 1) - _RB_MAX t <= _CUT, _RB_MAX the largest |Re b| an index
+# admits; past them every term is below exp(-40) of its weight and shrinks
+# doubly exponentially.  On [_Z_MIN, _Z_MAX] every term and every scaled
+# W_{a,b} is a finite double.
+_H = 0.2
+_X_FIXED = (0.6 / _H) ** 2
+_CUT = 40.0
+_RB_MAX = 0.55
+_Z_MIN, _Z_MAX = 1e-100, 1e100
+_SQRT_PI = math.sqrt(math.pi)
+
+# The fixed-step nodes t_k = k _H, k >= 1, as far as the sum reaches at
+# _Z_MIN; -(cosh t_k - 1), written without cancellation; and, ascending,
+# -x_k with x_k the largest x whose sum keeps node k.  Each index keeps
+# cosh(b t_k) for the first _N_ROW nodes, all that z >= 2e-9 needs.
+_T = tuple(k * _H for k in range(1, 1200))
+_NCM1 = tuple(-2.0 * math.sinh(0.5 * t) ** 2 for t in _T)
+_NEG_REACH = tuple((_CUT + _RB_MAX * t) / c for t, c in zip(_T, _NCM1))
+_N_ROW = 128
+
+# p_a(s) = q2 s^2 + q1 s + q0, the weight of W_{a,b} in the integral, as
+# (q2, q1, q0) for a = 0, 1, 2
+_WEIGHTS = ((0.0, 0.0, 1.0), (0.0, 1.0, -0.5), (1.0, -3.0, 0.75))
 
 
-def _kummer_series(alpha: float | complex, gam: float | complex, z: float) -> float | complex:
-    """Confluent series 1F1(alpha; gam; z) with compensated summation, in
-    real arithmetic for real parameters and complex arithmetic otherwise.
-
-    Terminates when a term falls below 1e-17 of the partial sum; raises
-    after 10000 terms (never reached for z <= Z_SWITCH).
-    """
-    s = 1.0
-    comp = 0.0
-    term = 1.0
-    for n in range(_KUMMER_MAX_TERMS):
-        term = term * (alpha + n) / (gam + n) * (z / (n + 1))
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        if abs(term) <= 1e-17 * abs(s):
-            return s
-    raise ConvergenceError(f"Kummer series did not converge (alpha={alpha}, gamma={gam}, z={z})")
+def _taylor(a: int, z: float) -> tuple:
+    """(c0, c1, c2) with p_a(z + y) = c0 + c1 y + c2 y^2."""
+    q2, q1, q0 = _WEIGHTS[a]
+    return (q2 * z + q1) * z + q0, 2.0 * q2 * z + q1, q2
 
 
-def _upper(b: complex) -> complex:
-    """The one of b, -b with nonnegative real and imaginary parts.  W is
-    symmetric in b -> -b; this keeps the series poles one-sided."""
-    return -b if b.real < 0.0 or b.imag < 0.0 else b
+def _grid(z: float) -> tuple:
+    """``(x, h, n, t, v)`` of the rule at z: x = z/2, the step h, the number
+    n of nodes k >= 1 kept, and sequences (at least n long) of the nodes t_k
+    and of v_k = -(cosh t_k - 1)."""
+    if not (_Z_MIN <= z <= _Z_MAX):
+        raise DomainError(f"Whittaker argument must lie in [{_Z_MIN:g}, {_Z_MAX:g}], got {z}")
+    x = 0.5 * z
+    if x <= _X_FIXED:
+        return x, _H, bisect_right(_NEG_REACH, -x), _T, _NCM1
+    h = 0.6 / math.sqrt(x)
+    # cosh t - 1 >= t^2/2: no node past the root of x t^2/2 - _RB_MAX t = _CUT is kept
+    n = int((_RB_MAX + math.sqrt(_RB_MAX * _RB_MAX + 2.0 * _CUT * x)) / (x * h))
+    ts = [k * h for k in range(1, n + 1)]
+    return x, h, n, ts, [-2.0 * math.sinh(0.5 * t) ** 2 for t in ts]
 
 
-def _connection(a: int, b: complex) -> tuple:
-    """Connection coefficients of DLMF 13.14.33 at index (a, b), b from
-    :func:`_upper` and away from 0 and 1/2: one ``(c, alpha, gamma)`` row per
-    regular Kummer solution, so that the scaled W is the sum over rows of
-    ``c z**alpha 1F1(alpha; gamma; z)``.  Imaginary b has one row (the second
-    term is its conjugate); real b has two, all of whose entries are real.
-
-    The gamma coefficients are evaluated through ``delta = 1 - 2b`` so that
-    the ratio of poles at b -> 1/2 stays fully accurate (1 - 2b is exact in
-    floating point for real b in [0.25, 0.5]).
-    """
-    delta = 1.0 - 2.0 * b
-    # Gamma(-2b)   = Gamma(delta - 1)      : pole at b = 1/2  (delta -> 0)
-    # Gamma(1/2 - b - a) = Gamma(delta/2 - a)
-    c1 = _gamma_shifted(delta, 1) / _gamma_shifted(0.5 * delta, a)
-    if b.imag != 0.0:
-        return ((c1, 0.5 + b - a, 1.0 + 2.0 * b),)
-    # Gamma(2b)    = Gamma(1 - delta)
-    # Gamma(1/2 + b - a) = Gamma((1 - delta/2) - a)
-    c2 = gamma_cx(1.0 - delta) / gamma_cx(1.0 - 0.5 * delta - a)
-    # real b: every gamma argument is real, so the imaginary parts are 0
-    b = b.real
-    return ((c1.real, 0.5 + b - a, 1.0 + 2.0 * b), (c2.real, 0.5 - b - a, 1.0 - 2.0 * b))
-
-
-def _w_scaled_series(connection: tuple, z: float) -> float:
-    """exp(z/2) z^(-a) W_{a,b}(z) by the connection formula, z <= Z_SWITCH,
-    from the index's :func:`_connection` rows."""
-    (c1, alpha1, gam1), *second = connection
-    term1 = c1 * z ** alpha1 * _kummer_series(alpha1, gam1, z)
-    if not second:
-        # purely imaginary b: the second connection term is the complex
-        # conjugate of the first, so the sum is exactly real
-        return 2.0 * term1.real
-    c2, alpha2, gam2 = second[0]
-    # exp(z/2) z^(-a) [c1 M_{a,b} + c2 M_{a,-b}], the exp(-z/2) of M cancels
-    return term1 + c2 * z ** alpha2 * _kummer_series(alpha2, gam2, z)
-
-
-def _w_scaled_asymptotic(a: int, b2: float, z: float) -> float:
-    """exp(z/2) z^(-a) W_{a,b}(z) by the divergent large-z series truncated
-    at its smallest term.  ``b2 = b**2`` is real for admissible indices."""
-    s = 1.0
-    term = 1.0
-    prev = math.inf
-    for n in range(1, 400):
-        term *= (b2 - (a - n + 0.5) ** 2) / (n * z)
-        if abs(term) >= prev:
-            break
-        s += term
-        prev = abs(term)
-        if prev <= 1e-17 * abs(s):
-            break
-    return s
-
-
-def _w_scaled_halfint(a: int, z: float) -> float:
-    """Closed forms at b = 1/2: W_{0,1/2} = e^{-z/2}, W_{1,1/2} = z e^{-z/2},
-    W_{2,1/2} = z (z - 2) e^{-z/2}; scaled by exp(z/2) z^(-a)."""
-    if a == 0 or a == 1:
-        return 1.0
-    return (z - 2.0) / z
+def _cosh_bts(b: complex, ts) -> object:
+    """cosh(b t) for each t, b real or purely imaginary (cos(|b| t) then)."""
+    if b.imag == 0.0:
+        return map(math.cosh, map(mul, repeat(b.real), ts))
+    return map(math.cos, map(mul, repeat(b.imag), ts))
 
 
 def whittaker_w_scaled(idx: WhittakerIndex, z: float) -> float:
-    """Overflow-free evaluation of ``exp(z/2) * z**(-a) * W_{a,b}(z)``.
+    """Overflow-free evaluation of ``exp(z/2) * z**(-a) * W_{a,b}(z)`` for z
+    in [1e-100, 1e100].
 
-    This scaled form tends to 1 as z -> +inf and is the natural quantity for
-    the eigenfunction and for density evaluation near x = 0.
+    One formula for every index and argument: with x = z/2 and
+    s = x (1 + cosh t),
+
+        W_{a,b}(z) = sqrt(z/pi) int_0^inf exp(-x cosh t) cosh(b t) p_a(s) dt,
+
+    p_0 = 1, p_1 = s - 1/2, p_2 = s^2 - 3s + 3/4.  The a = 0 case is
+    W_{0,b}(z) = sqrt(z/pi) K_b(z/2) with DLMF 10.32.9 for K_b; p_1 and p_2
+    follow from the recurrences of DLMF 13.15 differentiated under the
+    integral.  The scaled form moves exp(-x) into exp(-x (cosh t - 1)), and
+    the integral is a trapezoid sum, which converges geometrically on this
+    integrand (Trefethen and Weideman, SIAM Review 56(3), 2014).  The result
+    tends to 1 as z -> +inf.
     """
-    if not (z > 0.0 and math.isfinite(z)):
-        raise DomainError(f"Whittaker argument must be positive and finite, got {z}")
-    a, b = idx.a, _upper(idx.b)
-    if b.imag == 0.0 and abs(1.0 - 2.0 * b.real) <= _HALF_DEGENERATE:
-        return _w_scaled_halfint(a, z)
-    if z > Z_SWITCH:
-        return _w_scaled_asymptotic(a, (b * b).real, z)
-    if abs(b) < _B_DEGENERATE:
-        # gamma poles at b = 0; W is even in b, so extrapolate from two
-        # real offsets (error O(h^4) ~ 1e-20 plus the O(|b|^2) <= 1e-12
-        # distance to the requested index)
-        w1, w2 = (_w_scaled_series(off._coefficients, z) for off in idx._offsets)
-        return (4.0 * w1 - w2) / 3.0
-    return _w_scaled_series(idx._coefficients, z)
+    x, h, n, ts, v = _grid(z)
+    if x <= _X_FIXED:
+        cb = idx._cosh_bt
+        if n > _N_ROW:
+            cb += tuple(_cosh_bts(idx.b, ts[_N_ROW:n]))
+    else:
+        cb = _cosh_bts(idx.b, ts)
+    # the terms of K_b: cosh(b t_k) exp(-x (cosh t_k - 1))
+    e = list(map(mul, cb, map(math.exp, map(mul, repeat(x, n), v))))
+    # p_a(s_k) = c0 - c1 x v_k + c2 (x v_k)^2 at s_k = z - x v_k; the node
+    # t = 0 has half weight
+    c0, c1, c2 = _taylor(idx.a, z)
+    acc = c0 * (0.5 + sum(e))
+    if idx.a:
+        ev = list(map(mul, e, v))
+        acc -= c1 * x * sum(ev)
+        if idx.a == 2:
+            acc += c2 * x * x * sum(map(mul, ev, v))
+    return z ** (0.5 - idx.a) * h / _SQRT_PI * acc
+
+
+def _w_terms(a: int, z: float) -> tuple:
+    """Nodes t_k and weights w_k, t_0 = 0, with the scaled W_{a,b}(z) equal
+    to sum_k w_k cosh(b t_k) for every admissible b: the sum of
+    :func:`whittaker_w_scaled` with the factor cosh(b t_k) left out, for
+    callers that weight one set of terms by many indices.  (Per index,
+    the moment sums of whittaker_w_scaled are faster.)"""
+    x, h, n, ts, v = _grid(z)
+    c0, c1, c2 = _taylor(a, z)
+    f = z ** (0.5 - a) * h / _SQRT_PI
+    ws = [f * math.exp(u) * (c0 - u * (c1 - c2 * u)) for u in map(mul, repeat(x, n), v)]
+    return [0.0, *ts[:n]], [0.5 * f * c0, *ws]
 
 
 def whittaker_w(idx: WhittakerIndex, z: float) -> float:
-    """Whittaker function ``W_{a,b}(z)`` for real z > 0.
-
-    Evaluation strategy: for ``z <= Z_SWITCH`` the connection formula through
-    the two regular Kummer solutions with gamma coefficients; beyond that the
-    asymptotic series truncated at its smallest term.  The result is real for
-    all admissible indices (W is symmetric under b -> -b).
-    """
+    """Whittaker function ``W_{a,b}(z)`` for z in [1e-100, 1e100], from
+    :func:`whittaker_w_scaled`.  The result is real for all admissible
+    indices (W is symmetric under b -> -b)."""
     scaled = whittaker_w_scaled(idx, z)
     if z > 600.0:
         # assemble in log space; underflows cleanly to 0 for huge z

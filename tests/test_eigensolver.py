@@ -17,9 +17,11 @@ from qsd_sr import (
     mode,
     pdf,
     sturm_liouville_eigen,
+    whittaker_w,
     whittaker_w_scaled,
 )
 from qsd_sr import eigensolver
+from qsd_sr.specfun import _cosh_bts
 
 PARAM_SWEEP = [(mu, A) for mu in (0.5, 1.0, 1.5) for A in (5.0, 20.0, 100.0)]
 
@@ -85,7 +87,7 @@ class TestSingleScan:
     def test_no_sign_change_raises_after_one_scan(self, monkeypatch):
         calls = []
 
-        def no_root(lam, params):
+        def no_root(lam, params, terms):
             calls.append(lam)
             return 1.0
 
@@ -98,7 +100,7 @@ class TestSingleScan:
         br = eigen_bracket(self.PARAMS)
         roots = [br.lo + (br.hi - br.lo) * f for f in (0.87, 0.21, 0.53)]
 
-        def three_roots(lam, params):
+        def three_roots(lam, params, terms):
             return (lam - roots[0]) * (lam - roots[1]) * (lam - roots[2])
 
         monkeypatch.setattr(eigensolver, "_eigen_equation", three_roots)
@@ -107,6 +109,23 @@ class TestSingleScan:
         assert len(exc.value.roots) == 3
         assert list(exc.value.roots) == sorted(exc.value.roots)
         assert exc.value.roots == pytest.approx(sorted(roots), abs=1e-12)
+
+
+class TestSharedTerms:
+    @pytest.mark.parametrize("mu,A", [(1.0, 20.0), (1.0, 3.0), (0.5, 2.0), (2.0, 1e4)])
+    def test_equation_is_w1_at_z_a(self, mu, A):
+        # the terms shared by the scan and the polish give W_{1,b}(z_A), to
+        # rounding in the sum of |terms| (the sum cancels near a root)
+        p = ModelParams(mu=mu, A=A)
+        br = eigen_bracket(p)
+        ts, ws = terms = eigensolver._eigen_terms(p)
+        for f in (0.0, 0.3, 0.7, 1.0):
+            lam = br.lo + (br.hi - br.lo) * f
+            idx = WhittakerIndex(1, SpectralIndex.from_lambda(lam, mu).b)
+            magnitude = sum(abs(w * x) for w, x in zip(ws, _cosh_bts(idx.b, ts)))
+            ref = whittaker_w(idx, 2.0 / (p.mu2 * A))
+            got = eigensolver._eigen_equation(lam, p, terms)
+            assert abs(got - ref) <= 1e-14 * magnitude, (lam, f)
 
 
 class TestCheckedDomain:

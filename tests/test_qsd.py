@@ -37,7 +37,8 @@ SCAN_MODES = {
 
 # (x, pdf(x), cdf(x)) as computed when every pdf/cdf point built its own
 # Whittaker index, at real b (mu=1, A=20), imaginary b (mu=1, A=3) and large
-# c (mu=1.2, A=1000); x covers the asymptotic (z > 16) and series branches
+# c (mu=1.2, A=1000); x covers z on both sides of 18, where the kernel's
+# trapezoid step turns x-dependent
 LAW_VALUES = {
     (1.0, 20.0): [
         (0.1, 5.781295681619023e-07, 2.891424524419448e-09),

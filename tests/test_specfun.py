@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from oracles import (
     spouge_gamma,
     whittaker_ode_value,
 )
-import qsd_sr.specfun as specfun
 from qsd_sr import (
     DomainError,
     ModelParams,
@@ -31,13 +31,17 @@ from qsd_sr import (
 )
 from qsd_sr.specfun import (
     EULER_GAMMA,
-    Z_SWITCH,
     _LAGUERRE_RULE,
+    _NEG_REACH,
+    _X_FIXED,
+    _Z_MAX,
+    _Z_MIN,
     _g_laguerre,
     _g_series,
-    _w_scaled_asymptotic,
-    _w_scaled_series,
 )
+
+# the argument where the trapezoid step turns from fixed to 0.6/sqrt(z/2)
+Z_HANDOFF = 2.0 * _X_FIXED
 
 
 # ---------------------------------------------------------------------------
@@ -183,21 +187,6 @@ class TestWhittakerW:
             scale = abs(d2) + abs(coeff * w0) + 1e-30
             assert abs(d2 - coeff * w0) < 1e-6 * scale, (a, b, z)
 
-    def test_branch_consistency_band(self):
-        # series and asymptotic branches agree on a band around the switch;
-        # the a=0 case sits in a cancellation valley and gets a looser gate
-        for a in (1, 2):
-            for b in (0.1, 0.45, 0.3j):
-                for z in (Z_SWITCH - 1.5, Z_SWITCH, Z_SWITCH + 1.5):
-                    s = _w_scaled_series(WhittakerIndex(a, b)._coefficients, z)
-                    asy = _w_scaled_asymptotic(a, (complex(b) ** 2).real, z)
-                    assert abs(s - asy) / abs(asy) < 1e-8, (a, b, z)
-        for b in (0.25, 0.45, 0.3j):
-            for z in (Z_SWITCH - 0.5, Z_SWITCH, Z_SWITCH + 0.5):
-                s = _w_scaled_series(WhittakerIndex(0, b)._coefficients, z)
-                asy = _w_scaled_asymptotic(0, (complex(b) ** 2).real, z)
-                assert abs(s - asy) / abs(asy) < 1e-7, (b, z)
-
     def test_small_argument_law(self):
         # z^(b-1/2) e^(z/2) W_{0,b}(z) -> Gamma(2b)/Gamma(b+1/2);
         # the approach is O(z^(2b)), so sample b where that is below the gate
@@ -208,8 +197,8 @@ class TestWhittakerW:
             assert abs(lhs - rhs) / abs(rhs) < 1e-4, b
 
     def test_degenerate_small_b(self):
-        # the b ~ 0 path extrapolates across the gamma poles; compare with
-        # the ODE oracle at b exactly 0
+        # b ~ 0 needs no special case in the integral; compare with the ODE
+        # oracle at b exactly 0
         ref = whittaker_ode_value(1, 0.0, 2.0)
         val = whittaker_w(WhittakerIndex(1, 1e-8), 2.0)
         assert val == pytest.approx(ref, rel=1e-7)
@@ -217,11 +206,22 @@ class TestWhittakerW:
         assert val0 == pytest.approx(ref, rel=1e-7)
 
     def test_continuity_across_switch(self):
+        # the fixed-step table hands off to the x-dependent step at Z_HANDOFF
         for a in (0, 1, 2):
-            idx = WhittakerIndex(a, 0.3)
-            below = whittaker_w(idx, Z_SWITCH * (1 - 1e-9))
-            above = whittaker_w(idx, Z_SWITCH * (1 + 1e-9))
-            assert below == pytest.approx(above, rel=1e-7)
+            for b in (0.0, 0.3, 0.5, 0.3j, 2.0j, 3.5565j):
+                idx = WhittakerIndex(a, b)
+                below = whittaker_w(idx, Z_HANDOFF * (1 - 1e-12))
+                above = whittaker_w(idx, Z_HANDOFF * (1 + 1e-12))
+                assert below == pytest.approx(above, rel=1e-12), (a, b)
+
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    @pytest.mark.parametrize("b", [3.5565j, 2.757j])  # the indices at c = 0.5, 0.7
+    @pytest.mark.parametrize("z", [16.05, 17.0, 20.0])
+    def test_large_imaginary_index_past_z16(self, a, b, z):
+        # large imaginary index just past z = 16; started at z = 300 the ODE
+        # oracle is good to ~1e-11 here (at its default 80, to ~1e-7)
+        ref = whittaker_ode_value(a, b, z, z_start=300.0)
+        assert whittaker_w(WhittakerIndex(a, b), z) == pytest.approx(ref, rel=1e-9)
 
     def test_large_z_underflow_is_clean(self):
         idx = WhittakerIndex(1, 0.25)
@@ -234,33 +234,36 @@ class TestWhittakerW:
         with pytest.raises(DomainError):
             whittaker_w(WhittakerIndex(1, 0.25), -2.0)
 
+    def test_argument_range(self):
+        # every term and every scaled W is a finite double on [1e-100, 1e100]
+        for a in (0, 1, 2):
+            for b in (0.0, 0.55, 3.5565j):
+                idx = WhittakerIndex(a, b)
+                for z in (_Z_MIN, _Z_MAX):
+                    assert math.isfinite(whittaker_w_scaled(idx, z)), (a, b, z)
+                for z in (0.5 * _Z_MIN, 2.0 * _Z_MAX, math.inf, math.nan):
+                    with pytest.raises(DomainError):
+                        whittaker_w_scaled(idx, z)
+
+    def test_fixed_table_reaches_z_min(self):
+        # the sum at the smallest argument stops inside the node table
+        assert bisect_right(_NEG_REACH, -0.5 * _Z_MIN) < len(_NEG_REACH)
+
 
 class TestIndexReuse:
-    """An index computes its connection coefficients at most once, on its
-    first series-branch evaluation, and a reused index gives exactly what a
-    fresh one gives."""
+    """An index keeps its factors cosh(b t_k) on the fixed-step nodes, and a
+    reused index gives exactly what a fresh one gives."""
 
-    # one index per branch of whittaker_w_scaled, with z on that branch
+    # one index per path through whittaker_w_scaled, with z on that path
     BRANCHES = {
-        "real series": ((1, 0.3), (0.05, 0.7, 2.0, 9.0, Z_SWITCH)),
-        "real series, negative b": ((2, -0.45), (0.3, 4.0, 15.0)),
-        "imaginary series": ((1, 0.4j), (0.05, 0.7, 2.0, 9.0, Z_SWITCH)),
-        "b ~ 0 extrapolation": ((0, 1e-7), (0.1, 1.0, 7.5)),
-        "b = 1/2 closed form": ((2, 0.5), (0.5, 3.0, 40.0)),
-        "asymptotic": ((1, 0.3), (Z_SWITCH + 0.5, 40.0, 700.0)),
+        "fixed step": ((1, 0.3), (0.05, 0.7, 2.0, 9.0, Z_HANDOFF)),
+        "fixed step, negative b": ((2, -0.45), (0.3, 4.0, 15.0)),
+        "fixed step past the table": ((1, 0.45), (1e-10, 1e-12)),
+        "variable step": ((1, 0.3), (Z_HANDOFF + 0.5, 40.0, 700.0)),
+        "imaginary b": ((1, 0.4j), (0.05, 0.7, 2.0, 9.0, 40.0)),
+        "b = 0": ((0, 0.0), (0.1, 1.0, 7.5, 40.0)),
+        "b = 1/2": ((2, 0.5), (0.5, 3.0, 40.0)),
     }
-
-    @staticmethod
-    def _count_gamma_calls(monkeypatch):
-        calls = []
-        real = specfun.gamma_cx
-
-        def counting(z):
-            calls.append(z)
-            return real(z)
-
-        monkeypatch.setattr(specfun, "gamma_cx", counting)
-        return calls
 
     @pytest.mark.parametrize("branch", sorted(BRANCHES))
     def test_reused_index_equals_fresh_index(self, branch):
@@ -276,35 +279,12 @@ class TestIndexReuse:
                     whittaker_w_scaled(other, 1.5)
             assert reused == fresh, branch
 
-    @pytest.mark.parametrize("b", [0.3, -0.3, 0.4j, 1e-7])
-    def test_series_coefficients_computed_once(self, b, monkeypatch):
-        calls = self._count_gamma_calls(monkeypatch)
-        idx = WhittakerIndex(1, b)
-        whittaker_w_scaled(idx, 1.0)
-        assert calls
-        n_first = len(calls)
-        for z in (0.2, 3.0, 11.0):
-            whittaker_w_scaled(idx, z)
-        assert len(calls) == n_first
-
-    @pytest.mark.parametrize("a,b,z", [
-        (1, 0.5, 2.0),    # b = 1/2 closed form
-        (0, 0.0, 2.0),    # b ~ 0: the coefficients have gamma poles at b = 0
-        (2, 1e-7, 2.0),
-        (2, 0.3, 30.0),   # asymptotic
-        (1, 0.0, 30.0),
-    ])
-    def test_no_coefficients_off_the_series_branch(self, a, b, z):
-        idx = WhittakerIndex(a, b)
-        whittaker_w_scaled(idx, z)
-        assert "_coefficients" not in vars(idx)
-
     def test_index_identity_unchanged_by_evaluation(self):
         idx = WhittakerIndex(1, 0.3)
         before = (repr(idx), hash(idx))
         for z in (0.5, 2.0, 40.0):
             whittaker_w_scaled(idx, z)
-        assert "_coefficients" in vars(idx)
+        assert "_cosh_bt" in vars(idx)
         assert (repr(idx), hash(idx)) == before
         assert repr(idx) == "WhittakerIndex(a=1, b=(0.3+0j))"
         assert idx == WhittakerIndex(1, 0.3) and hash(idx) == hash(WhittakerIndex(1, 0.3))
