@@ -37,7 +37,6 @@ from .specfun import (
     SpectralIndex,
     WhittakerIndex,
     _g_and_l,
-    exp_scaled_e1,
     meijer_g_special,
 )
 
@@ -171,7 +170,8 @@ def index_derivative_identity(k: int, x: float) -> float:
     if k == 1:
         return math.exp(-0.5 * x)
     if k == 2:
-        return 2.0 * math.exp(-0.5 * x) * (exp_scaled_e1(x) + x * meijer_g_special(x))
+        # e^x E1(x) + x G(x) = L(x) + 1
+        return 2.0 * math.exp(-0.5 * x) * (_g_and_l(x)[1] + 1.0)
     if k == 3:
         return 6.0 * math.exp(-0.5 * x) * meijer_g_special(x)
     raise DomainError(f"derivative order must be 1, 2 or 3, got {k}")

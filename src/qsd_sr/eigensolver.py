@@ -2,25 +2,31 @@
 
 The eigenvalue is the largest nonpositive root lam of
 
-    W_{1, xi(lam)/2}( 2/(mu^2 A) ) = 0,      xi(lam) = sqrt(1 + 8 lam/mu^2),
+    W_{1, xi(lam)/2}( 2/(mu^2 A) ) = 0,      xi(lam) = sqrt(1 + 8 lam/mu^2).
 
-searched inside the closed-form bracket obtained from non-negativity of the
-law's variance.  One 65-node uniform scan of the bracket locates every sign
-change (the bracket provably contains the dominant root, but uniqueness
-inside it is an empirical matter, hence the runtime check); the single sign
-change is polished by bisection followed by secant steps.  Every evaluation
-shares one argument z_A, so the terms of the kernel's trapezoid sum are
-computed once per solve and each evaluation only weights them by cosh(b t_k).
+The pair (mu, A) enters only through c = mu^2 A and lam only through
+s = xi^2 = 1 + 8 lam/mu^2, so the solve runs in s at z_A = 2/c and forms
+lam = mu^2 (s - 1)/8 once at the end: lam(mu, A) = mu^2 lam(1, c) bit for bit
+whenever mu^2 A is the same double.  The root is searched inside the
+closed-form bracket obtained from non-negativity of the law's variance.  One
+65-node uniform scan of the bracket locates every sign change (the bracket
+provably contains the dominant root, but uniqueness inside it is an
+empirical matter, hence the runtime check); the single sign change is
+bisected until its ends are adjacent doubles, which leaves lam within about
+eps c/8 relative of the true root.  Every evaluation shares the argument
+z_A, so the terms of the kernel's trapezoid sum are computed once per solve
+and each evaluation only weights them by cosh(b t_k), b = sqrt(s)/2.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from operator import mul
 
 from .errors import AmbiguousRootError, BracketError, DomainError
-from .specfun import ModelParams, SpectralIndex, _cosh_bts, _w_terms
+from .specfun import ModelParams, _cosh_bts, _w_terms
 
 __all__ = [
     "EigenBracket",
@@ -29,8 +35,7 @@ __all__ = [
     "dominant_eigenvalue",
 ]
 
-# root tolerance of the polish, and the number of scan intervals
-ROOT_TOL = 1e-13
+# the number of scan intervals
 SCAN_NODES = 64
 
 # Smallest c = mu^2 A accepted: the domain checked against the oracles.
@@ -57,13 +62,24 @@ class EigenResult:
     bracket: EigenBracket
 
 
+def _s_bracket(c: float) -> tuple:
+    """The bracket of s = 1 + 8 lam/mu^2 in c = mu^2 A:
+    1 - 8/c - 4 (1 +- sqrt(4c + 1))/c^2."""
+    r = math.sqrt(4.0 * c + 1.0)
+    return (1.0 - 8.0 / c - 4.0 * (1.0 + r) / (c * c),
+            1.0 - 8.0 / c - 4.0 * (1.0 - r) / (c * c))
+
+
+def _lam(s: float, mu2: float) -> float:
+    """lam = mu^2 (s - 1)/8, the one map from s back to the eigenvalue."""
+    return mu2 * (s - 1.0) / 8.0
+
+
 def eigen_bracket(params: ModelParams) -> EigenBracket:
     """Analytic bracket for the dominant eigenvalue."""
-    mu2, A = params.mu2, params.A
-    root = math.sqrt(4.0 * mu2 * A + 1.0)
-    lo = -1.0 / A - (1.0 + root) / (2.0 * mu2 * A * A)
-    hi = -1.0 / A - (1.0 - root) / (2.0 * mu2 * A * A)
-    return EigenBracket(lo=lo, hi=hi)
+    mu2 = params.mu2
+    lo, hi = _s_bracket(mu2 * params.A)
+    return EigenBracket(lo=_lam(lo, mu2), hi=_lam(hi, mu2))
 
 
 def _check_domain(params: ModelParams) -> None:
@@ -73,31 +89,29 @@ def _check_domain(params: ModelParams) -> None:
         raise DomainError(f"mu^2 A = {c:.6g} lies below the checked domain mu^2 A >= {C_MIN}")
 
 
-def _eigen_terms(params: ModelParams) -> tuple:
+def _eigen_terms(c: float) -> tuple:
     """Nodes t_k and weights w_k with W_{1,b}(z_A) = sum_k w_k cosh(b t_k)
-    for every b of the bracket, z_A = 2/(mu^2 A)."""
-    z = 2.0 / (params.mu2 * params.A)
+    for every b of the bracket, z_A = 2/c."""
+    z = 2.0 / c
     ts, ws = _w_terms(1, z)
     scale = math.exp(-0.5 * z) * z  # W_1 = exp(-z/2) z * scaled W_1
     return ts, [scale * w for w in ws]
 
 
-def _eigen_equation(lam: float, params: ModelParams, terms: tuple) -> float:
-    """W_{1,b}(z_A) at b = xi(lam)/2, from the terms of :func:`_eigen_terms`;
-    the scan and the polish evaluate the equation only through here."""
+def _eigen_equation(s: float, terms: tuple) -> float:
+    """W_{1,b}(z_A) at b = sqrt(s)/2, imaginary for s < 0, from the terms
+    of :func:`_eigen_terms`; the scan and the polish evaluate the equation
+    only through here."""
     ts, ws = terms
-    b = SpectralIndex.from_lambda(lam, params.mu).b
-    return sum(map(mul, ws, _cosh_bts(b, ts)))
+    return sum(map(mul, ws, _cosh_bts(0.5 * cmath.sqrt(s), ts)))
 
 
-def _polish(f, a: float, b: float, fa: float, fb: float, tol: float):
-    """Bisection to near tolerance, then secant refinement inside the
-    retained sign-change interval.  Returns (root, evaluations)."""
+def _polish(f, a: float, b: float, fa: float, fb: float):
+    """Bisect the sign change of f on [a, b] until the midpoint no longer
+    splits the interval or f vanishes there.  Returns (root, evaluations),
+    the root being the end with the smaller |f|."""
     evals = 0
-    while b - a > max(tol, 1e-16 * max(abs(a), abs(b))):
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            break
+    while a < (m := 0.5 * (a + b)) < b:
         fm = f(m)
         evals += 1
         if fm == 0.0:
@@ -106,41 +120,33 @@ def _polish(f, a: float, b: float, fa: float, fb: float, tol: float):
             b, fb = m, fm
         else:
             a, fa = m, fm
-    # a couple of secant steps squeeze out the last digits
-    x0, f0, x1, f1 = a, fa, b, fb
-    for _ in range(3):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (a <= x2 <= b):
-            break
-        f2 = f(x2)
-        evals += 1
-        if f2 == 0.0:
-            return x2, evals
-        x0, f0, x1, f1 = x1, f1, x2, f2
-    return 0.5 * (a + b) if abs(f1) > abs(f0) else x1, evals
+    return (a if abs(fa) <= abs(fb) else b), evals
 
 
 def dominant_eigenvalue(params: ModelParams) -> EigenResult:
     """Locate the dominant (largest nonpositive) eigenvalue.
 
-    Evaluates the eigen equation at the 65 nodes of a uniform 64-interval
-    grid over the analytic bracket.  Exactly one sign change is polished to
-    the fixed root tolerance ROOT_TOL.  No sign change raises
+    Works in s = 1 + 8 lam/mu^2 at c = mu^2 A.  Evaluates the eigen equation
+    at the 65 nodes of a uniform 64-interval grid over the analytic bracket.
+    Exactly one sign change is bisected down to adjacent doubles in s, so
+    lam carries about eps c/8 relative error; a solve takes 72-112
+    evaluations for c from 0.5 to 1e9.  No sign change raises
     :class:`BracketError`; several raise :class:`AmbiguousRootError` with
-    every candidate polished.  A finer grid cannot help: it contains every
-    node of the coarser one, so it only keeps or adds sign changes.  Raises
-    :class:`DomainError` below ``c = mu^2 A = C_MIN``.
+    every candidate polished (both in lam).  A finer grid cannot help: it
+    contains every node of the coarser one, so it only keeps or adds sign
+    changes.  Raises :class:`DomainError` below ``c = mu^2 A = C_MIN``.
     """
     _check_domain(params)
+    mu2 = params.mu2
+    c = mu2 * params.A
     br = eigen_bracket(params)
-    terms = _eigen_terms(params)
+    lo, hi = _s_bracket(c)
+    terms = _eigen_terms(c)
 
-    def eq(lam):
-        return _eigen_equation(lam, params, terms)
+    def eq(s):
+        return _eigen_equation(s, terms)
 
-    xs = [br.lo + (br.hi - br.lo) * i / SCAN_NODES for i in range(SCAN_NODES + 1)]
+    xs = [lo + (hi - lo) * i / SCAN_NODES for i in range(SCAN_NODES + 1)]
     vs = [eq(x) for x in xs]
     intervals = []
     for i in range(SCAN_NODES):
@@ -152,16 +158,15 @@ def dominant_eigenvalue(params: ModelParams) -> EigenResult:
         intervals.append((xs[-1], xs[-1], 0.0, 0.0))
     if not intervals:
         raise BracketError(br.lo, br.hi, vs[0], vs[-1])
-    roots = [(a, 0) if a == b else _polish(eq, a, b, fa, fb, ROOT_TOL)
-             for a, b, fa, fb in intervals]
+    roots = [(a, 0) if a == b else _polish(eq, a, b, fa, fb) for a, b, fa, fb in intervals]
     if len(roots) > 1:
-        raise AmbiguousRootError(sorted(r for r, _ in roots))
+        raise AmbiguousRootError(sorted(_lam(s, mu2) for s, _ in roots))
 
-    lam, more = roots[0]
-    lam = min(lam, 0.0)
+    s, more = roots[0]
+    s = min(s, 1.0)
     return EigenResult(
-        lam=lam,
-        residual=abs(eq(lam)),
+        lam=_lam(s, mu2),
+        residual=abs(eq(s)),
         iterations=SCAN_NODES + 1 + more,
         bracket=br,
     )

@@ -170,8 +170,9 @@ def mode(sol: QsdSolution) -> float:
     x -> 0+ and negative at x = A, where A^2 (mu^2/2) q'(A) = lam < 0, with
     exactly one sign change between.  The root is bracketed by [x_lo, A]
     with x_lo at z = 1e4 (clipped to A/2), both end signs are checked, and
-    it is polished by the eigensolver's bisection-secant routine to 1e-12 A.
-    Raises :class:`ConvergenceError` when an end sign is wrong.
+    it is bisected by the eigensolver's routine down to adjacent doubles
+    (55-85 evaluations of W_2 for c from 0.5 to 1e9).  Raises
+    :class:`ConvergenceError` when an end sign is wrong.
     """
     A = sol.params.A
     lo = min(2.0 / (sol.params.mu2 * 1e4), 0.5 * A)
@@ -181,7 +182,7 @@ def mode(sol: QsdSolution) -> float:
             f"density slope signs {f_lo:+.3e} at x={lo:.6g} and {f_a:+.3e} at A={A:.6g} "
             "do not bracket the mode"
         )
-    return _polish(lambda x: _slope_sign(x, sol), lo, A, f_lo, f_a, 1e-12 * A)[0]
+    return _polish(lambda x: _slope_sign(x, sol), lo, A, f_lo, f_a)[0]
 
 
 def boundary_flux_identity(sol: QsdSolution) -> float:

@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import mul
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "ModelParams",
@@ -317,86 +317,13 @@ def whittaker_w(idx: WhittakerIndex, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exponential integral
+# exponential integral, Meijer-G special case and the lower-bound kernel
 # ---------------------------------------------------------------------------
 
-_E1_SWITCH = 1.5
-
-
-def _e1_series(x: float) -> float:
-    """E1 via -gamma - log x + sum_{k>=1} (-1)^(k+1) x^k / (k k!), x < 1.5."""
-    s = 0.0
-    term = 1.0
-    for k in range(1, 60):
-        term *= -x / k
-        contrib = -term / k
-        s += contrib
-        if abs(contrib) <= 1e-17 * max(abs(s), 1.0):
-            break
-    return -EULER_GAMMA - math.log(x) + s
-
-
-def _e1_cf_scaled(x: float) -> float:
-    """exp(x) E1(x) via the modified Lentz continued fraction, x >= 1.5.
-
-    E1(x) = e^-x / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...)))
-    """
-    tiny = 1e-300
-    f = tiny
-    c = f
-    d = 0.0
-    b = x + 1.0
-    for k in range(1, 200):
-        if k == 1:
-            a = 1.0
-        else:
-            a = -((k - 1.0) ** 2)
-            b += 2.0
-        d = b + a * d
-        if d == 0.0:
-            d = tiny
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return f
-    raise ConvergenceError(f"E1 continued fraction did not converge at x={x}")
-
-
-def exp_integral_e1(x: float) -> float:
-    """Exponential integral ``E1(x) = int_x^inf exp(-y)/y dy`` for x > 0.
-
-    Series-minus-log form for small x, modified Lentz continued fraction for
-    x >= 1.5; relative error ~1e-14.  The general two-sided branch is out of
-    scope, so x <= 0 raises.
-    """
-    if not (x > 0.0):
-        raise DomainError(f"E1 requires a positive argument, got {x}")
-    if x < _E1_SWITCH:
-        return _e1_series(x)
-    return math.exp(-x) * _e1_cf_scaled(x)
-
-
-def exp_scaled_e1(x: float) -> float:
-    """``exp(x) * E1(x)``, safe from overflow for arbitrarily large x."""
-    if not (x > 0.0):
-        raise DomainError(f"E1 requires a positive argument, got {x}")
-    if x < _E1_SWITCH:
-        return math.exp(x) * _e1_series(x)
-    return _e1_cf_scaled(x)
-
-
-# ---------------------------------------------------------------------------
-# Meijer-G special case and the lower-bound kernel
-# ---------------------------------------------------------------------------
-
-# Series/quadrature hand-off for G.  The series cancels against
+# Series/quadrature hand-off for E1 and G.  The G series cancels against
 # pi^2/4 + l^2/2 as x grows (3e-15 relative just below 1.5); the
-# Gauss-Laguerre rule stays within 1e-15 from 1.5 on, both measured against
-# mpmath.
+# Gauss-Laguerre rule stays within 1e-15 (G) and 1.6e-15 (exp(x) E1) from
+# 1.5 on, all measured against mpmath.
 _G_SWITCH = 1.5
 
 
@@ -420,8 +347,9 @@ def _g_series(x: float) -> float:
 # Nodes s_i and weights-over-nodes w_i/s_i of the 60-point Gauss-Laguerre
 # rule, computed in 50-digit arithmetic (mpmath.gauss_quadrature(60,
 # "laguerre")) and rounded once.  The 27 nodes above 47 are left out: their
-# weights are below 1e-20 and sum to 7e-22, and log1p(s/x)/s <= 1/x, so
-# together they move G by less than 1e-21 relative for x >= 1.5.
+# weights are below 1e-20 and sum to 7e-22, and log1p(s/x)/s <= 1/x and
+# 1/(x + s) <= 1/x, so together they move G and exp(x) E1(x) by less than
+# 1e-21 relative for x >= 1.5.
 _LAGUERRE_RULE = (
     (0.023897977262724995, 2.505802514806857),
     (0.12593471888169075, 0.9998113958843073),
@@ -464,6 +392,49 @@ def _g_laguerre(x: float) -> float:
     x >= 1.5, where the integrand's branch point s = -x is far enough from
     the nodes for the 60-point rule to reach rounding level (< 1e-15)."""
     return sum(w * math.log1p(s / x) for s, w in _LAGUERRE_RULE)
+
+
+def _e1_series(x: float) -> float:
+    """E1 via -gamma - log x + sum_{k>=1} (-1)^(k+1) x^k / (k k!), x < 1.5."""
+    s = 0.0
+    term = 1.0
+    for k in range(1, 60):
+        term *= -x / k
+        contrib = -term / k
+        s += contrib
+        if abs(contrib) <= 1e-17 * max(abs(s), 1.0):
+            break
+    return -EULER_GAMMA - math.log(x) + s
+
+
+def _e1_laguerre(x: float) -> float:
+    """exp(x) E1(x) = int_0^inf exp(-s)/(x + s) ds by the stored
+    Gauss-Laguerre rule of G, x >= 1.5 (within 1.6e-15 of mpmath up to
+    x = 1e8)."""
+    return sum(v * s / (x + s) for s, v in _LAGUERRE_RULE)
+
+
+def exp_integral_e1(x: float) -> float:
+    """Exponential integral ``E1(x) = int_x^inf exp(-y)/y dy`` for x > 0.
+
+    Series-minus-log form for small x, the stored Gauss-Laguerre rule for
+    x >= 1.5; relative error ~1e-15.  The general two-sided branch is out of
+    scope, so x <= 0 raises.
+    """
+    if not (x > 0.0):
+        raise DomainError(f"E1 requires a positive argument, got {x}")
+    if x < _G_SWITCH:
+        return _e1_series(x)
+    return math.exp(-x) * _e1_laguerre(x)
+
+
+def exp_scaled_e1(x: float) -> float:
+    """``exp(x) * E1(x)``, safe from overflow for arbitrarily large x."""
+    if not (x > 0.0):
+        raise DomainError(f"E1 requires a positive argument, got {x}")
+    if x < _G_SWITCH:
+        return math.exp(x) * _e1_series(x)
+    return _e1_laguerre(x)
 
 
 def meijer_g_special(x: float) -> float:

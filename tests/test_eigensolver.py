@@ -81,14 +81,43 @@ class TestDominantEigenvalue:
             assert dominant_eigenvalue(ModelParams(mu=mu, A=A)).lam <= 0.0
 
 
+class TestScaling:
+    @pytest.mark.parametrize("mu", [0.3, 0.7, 1.7, 4.0, 13.0])
+    @pytest.mark.parametrize("c", [0.9, 3.3, 20.0, 77.7, 1e3, 1e5])
+    def test_exact_in_c(self, mu, c):
+        # lam(mu, A) = mu^2 lam(1, mu^2 A) holds bit for bit when the solve
+        # sees the same double c = mu^2 A
+        p = ModelParams(mu=mu, A=c / mu**2)
+        c2 = p.mu2 * p.A
+        res, ref = dominant_eigenvalue(p), dominant_eigenvalue(ModelParams(mu=1.0, A=c2))
+        assert res.lam == p.mu2 * ref.lam
+        assert res.iterations == ref.iterations
+
+    # lam(1, c) to 20 digits in 50-digit arithmetic (mpmath)
+    LARGE_C = {
+        1e4: -1.0013927797538558281e-4,
+        5e4: -2.0006845100130897509e-5,
+        1e5: -1.0001849315229074507e-5,
+        3e5: -3.3335631738050732317e-6,
+    }
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 1.7, 4.0])
+    @pytest.mark.parametrize("c", sorted(LARGE_C))
+    def test_large_c(self, mu, c):
+        # rounding s = 1 + 8 lam/mu^2 to a double costs about eps c/8 of lam
+        ref = self.LARGE_C[c]
+        lam = dominant_eigenvalue(ModelParams(mu=mu, A=c / mu**2)).lam
+        assert abs(lam / mu**2 - ref) <= 5e-17 * c * abs(ref)
+
+
 class TestSingleScan:
     PARAMS = ModelParams(mu=1.0, A=20.0)
 
     def test_no_sign_change_raises_after_one_scan(self, monkeypatch):
         calls = []
 
-        def no_root(lam, params, terms):
-            calls.append(lam)
+        def no_root(s, terms):
+            calls.append(s)
             return 1.0
 
         monkeypatch.setattr(eigensolver, "_eigen_equation", no_root)
@@ -99,8 +128,10 @@ class TestSingleScan:
     def test_three_sign_changes_report_every_root(self, monkeypatch):
         br = eigen_bracket(self.PARAMS)
         roots = [br.lo + (br.hi - br.lo) * f for f in (0.87, 0.21, 0.53)]
+        mu2 = self.PARAMS.mu2
 
-        def three_roots(lam, params, terms):
+        def three_roots(s, terms):
+            lam = mu2 * (s - 1.0) / 8.0
             return (lam - roots[0]) * (lam - roots[1]) * (lam - roots[2])
 
         monkeypatch.setattr(eigensolver, "_eigen_equation", three_roots)
@@ -118,13 +149,14 @@ class TestSharedTerms:
         # rounding in the sum of |terms| (the sum cancels near a root)
         p = ModelParams(mu=mu, A=A)
         br = eigen_bracket(p)
-        ts, ws = terms = eigensolver._eigen_terms(p)
+        ts, ws = terms = eigensolver._eigen_terms(p.mu2 * A)
         for f in (0.0, 0.3, 0.7, 1.0):
             lam = br.lo + (br.hi - br.lo) * f
-            idx = WhittakerIndex(1, SpectralIndex.from_lambda(lam, mu).b)
+            se = SpectralIndex.from_lambda(lam, mu)
+            idx = WhittakerIndex(1, se.b)
             magnitude = sum(abs(w * x) for w, x in zip(ws, _cosh_bts(idx.b, ts)))
             ref = whittaker_w(idx, 2.0 / (p.mu2 * A))
-            got = eigensolver._eigen_equation(lam, p, terms)
+            got = eigensolver._eigen_equation(se.xi_squared, terms)
             assert abs(got - ref) <= 1e-14 * magnitude, (lam, f)
 
 
