@@ -61,9 +61,8 @@ from .asymptotics import (
 
 def __getattr__(name):
     # The names of __all__ not bound above are the oracles' (EmpiricalLaw,
-    # GridSolution, sturm_liouville_eigen, ...), which need numpy and scipy.
-    # They load on first access (PEP 562), so importing the package pulls in
-    # neither.
+    # GridSolution, sturm_liouville_eigen, ...), which need numpy.  They load
+    # on first access (PEP 562), so importing the package does not pull it in.
     if name in __all__:
         from . import oracle
 

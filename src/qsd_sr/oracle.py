@@ -6,12 +6,16 @@ kernel it is checking against:
 * a self-adjoint finite-volume discretization of the eigenvalue problem
   (d/dx)[p(x) phi'(x)] = lam m(x) phi(x), p(x) = (mu^2/2) x^2 m(x), with
   zero flux on the first cell face and a Dirichlet condition at A, solved as
-  a symmetric tridiagonal eigenproblem,
+  a symmetric tridiagonal eigenproblem by inverse iteration with odd-even
+  cyclic reduction,
 * a Monte-Carlo simulator of the killed diffusion dR = dt + mu R dB that
   advances all paths as one array on one seeded stream, and
 * quadrature residuals for the integral identity behind the cdf formula and
-  for the eigenfunction-norm identity, and a finite-difference residual for
-  the index-derivative identities behind the large-threshold expansion.
+  for the eigenfunction-norm identity (tanh-sinh rule, :func:`_quad`), and a
+  finite-difference residual for the index-derivative identities behind the
+  large-threshold expansion.
+
+Everything here needs numpy and nothing else.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
 
 from .asymptotics import index_derivative_identity
 from .errors import ConvergenceError, DomainError, NoSurvivorsError
@@ -84,15 +86,86 @@ class EmpiricalLaw:
     samples: np.ndarray  # sorted survivor values, for ECDF/KS use
 
 
+def _cr_factor(d, e):
+    """Odd-even cyclic reduction of the symmetric positive definite
+    tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``.
+
+    Each level eliminates the odd unknowns from the even equations; this is
+    Cholesky on the red-black permuted matrix, so every Schur complement
+    stays positive definite and no pivoting is needed (Buzbee, Golub and
+    Nielson, SIAM J. Numer. Anal. 7(4), 1970).  Returns the per-level
+    multipliers ``(r, l, 1/d_odd)`` and the last 1x1 pivot."""
+    levels = []
+    while d.size > 1:
+        d_odd = d[1::2]
+        r = e[0::2] / d_odd  # even 2k from its right neighbour 2k+1
+        l = e[1::2] / d_odd[: e.size // 2]  # even 2k+2 from its left neighbour 2k+1
+        d_even = d[0::2].copy()
+        d_even[: r.size] -= r * e[0::2]
+        d_even[1:] -= l * e[1::2]
+        e = -r[: l.size] * e[1::2]
+        d = d_even
+        levels.append((r, l, 1.0 / d_odd))
+    return levels, d[0]
+
+
+def _cr_solve(factor, f):
+    """Solve with a :func:`_cr_factor` factorization."""
+    levels, pivot = factor
+    odds = []
+    for r, l, _ in levels:
+        f_odd, f = f[1::2], f[0::2].copy()
+        f[: r.size] -= r * f_odd
+        f[1:] -= l * f_odd[: l.size]
+        odds.append(f_odd)
+    x = f / pivot
+    for (r, l, inv_d), f_odd in zip(reversed(levels), reversed(odds)):
+        x_odd = f_odd * inv_d - r * x[: r.size]
+        x_odd[: l.size] -= l * x[1:]
+        full = np.empty(x.size + x_odd.size)
+        full[0::2], full[1::2] = x, x_odd
+        x = full
+    return x
+
+
+# Inverse iteration stops once no entry of the max-normalized vector moves by
+# more than SL_TOL.  It contracts by lam1/lam2 per step, at worst 0.41 at
+# c = C_MIN (30 steps; 11 at c = 20), so the cap is never reached in the domain.
+SL_TOL = 1e-12
+SL_MAX_ITER = 100
+
+
+def _lowest_eigenvector(d, e):
+    """Unit eigenvector of the smallest eigenvalue of the symmetric positive
+    definite tridiagonal matrix (diagonal ``d``, negative off-diagonal
+    ``e``), by inverse iteration from the ones vector.  The inverse of such
+    a matrix is positive, so every iterate and the eigenvector are positive
+    and the start overlaps it.  Raises :class:`ConvergenceError` after
+    SL_MAX_ITER steps."""
+    factor = _cr_factor(d, e)
+    v = np.ones(d.size)
+    for _ in range(SL_MAX_ITER):
+        y = _cr_solve(factor, v)
+        y /= y.max()
+        change = float(np.max(np.abs(y - v)))
+        v = y
+        if change <= SL_TOL:
+            return v / np.linalg.norm(v)
+    raise ConvergenceError(
+        f"inverse iteration moved the eigenvector by {change:.3g} after {SL_MAX_ITER} steps"
+    )
+
+
 def sturm_liouville_eigen(params: ModelParams, n_grid: int) -> GridSolution:
     """First-principles eigenpair of the killed generator.
 
     Discretizes the self-adjoint form on the graded grid x_i = A (i/n)^2
     (refined near 0 where the speed density vanishes super-exponentially),
-    eliminates the Dirichlet node at A, and solves the symmetric tridiagonal
-    problem for the algebraically largest eigenvalue.  The eigenvalue is
-    read from the generalized Rayleigh quotient of the converged vector,
-    which avoids the eps * ||T|| floor of the bisection eigensolver.
+    eliminates the Dirichlet node at A, and finds the eigenvector of the
+    algebraically largest eigenvalue of the symmetric tridiagonal problem by
+    inverse iteration (:func:`_lowest_eigenvector`).  The eigenvalue is read
+    from the generalized Rayleigh quotient of the converged vector, which is
+    accurate to the square of the vector's error.
     """
     if n_grid < 100:
         raise DomainError(f"n_grid must be at least 100, got {n_grid}")
@@ -113,27 +186,19 @@ def sturm_liouville_eigen(params: ModelParams, n_grid: int) -> GridSolution:
     widths[0] = faces[0] - (x[0] - 0.5 * (x[1] - x[0]))
     widths[1:] = faces[1:] - faces[:-1]
 
-    # flux-difference stiffness (zero flux through the left face of cell 0)
-    diag = np.empty(nodes.size)
-    diag[0] = -pf[0]
-    diag[1:] = -(pf[1:] + pf[:-1])
-    off = pf[: nodes.size - 1]
+    # the flux-difference stiffness K (zero flux through the left face of
+    # cell 0) is negative definite; the top eigenvector of the pencil (K, M)
+    # is M^-1/2 times the lowest one of -M^-1/2 K M^-1/2
     mass = dens * widths
-
     scale = 1.0 / np.sqrt(mass)
-    d_sym = diag * scale * scale
-    e_sym = off * scale[:-1] * scale[1:]
-    m = d_sym.size
-    try:
-        vals, vecs = eigh_tridiagonal(d_sym, e_sym, select="i", select_range=(m - 1, m - 1))
-    except Exception as exc:  # pragma: no cover
-        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
-    phi = vecs[:, 0] * scale
+    neg_diag = pf.copy()
+    neg_diag[1:] += pf[:-1]
+    phi = _lowest_eigenvector(neg_diag * scale * scale, -pf[:-1] * scale[:-1] * scale[1:]) * scale
 
-    k_phi = diag * phi
-    k_phi[:-1] += off * phi[1:]
-    k_phi[1:] += off * phi[:-1]
-    lam_hat = float((phi @ k_phi) / (phi @ (mass * phi)))
+    # Rayleigh quotient with phi^T K phi in its energy form
+    # -sum_i pf_i (phi_{i+1} - phi_i)^2 (phi = 0 at A): a sum of like-signed
+    # terms, where expanding K phi cancels to ~eps ||K|| / |lam| (2e-8 at 2e5 nodes)
+    lam_hat = float(-(pf @ np.diff(phi, append=0.0) ** 2) / (phi @ (mass * phi)))
     if not math.isfinite(lam_hat) or lam_hat > 0.0:
         raise ConvergenceError(f"discretized eigenvalue not converged: {lam_hat}")
 
@@ -220,6 +285,60 @@ def simulate_killed_sr(
     )
 
 
+# Tanh-sinh quadrature: nodes t = k h on [-QUAD_T_MAX, QUAD_T_MAX], where the
+# weights fall to ~1e-36; h halves from 1 for at most QUAD_LEVELS levels
+# (2049 nodes at the last).
+QUAD_T_MAX = 4
+QUAD_LEVELS = 8
+
+
+def _quad(f, a, b, epsabs, epsrel):
+    """Integral of ``f`` over [a, b] (``b = inf`` allowed) by the tanh-sinh
+    rule (Takahasi and Mori, Publ. RIMS 9, 1974); returns ``(value, error)``.
+
+    The node of parameter t sits at unit-interval position s with
+    ``s = 1 / (e^{-2u} + 1)`` and ``1 - s = 1 / (e^{2u} + 1)``,
+    ``u = (pi/2) sinh t``, both computed directly so no node rounds onto an
+    end of a finite interval; ``b = inf`` maps s to ``a + s / (1 - s)``.  The
+    step halves until two successive sums differ by at most
+    ``max(epsabs, epsrel |value|)``, which is the returned error.  Raises
+    :class:`ConvergenceError` when the deepest level misses the tolerance or
+    the integrand does not vanish at the truncated ends.
+    """
+    infinite = math.isinf(b)
+    if not (math.isfinite(a) and a < b):
+        raise DomainError(f"need finite a < b, got [{a}, {b}]")
+
+    def term(t):
+        u = 0.5 * math.pi * math.sinh(t)
+        s, s_c = 1.0 / (math.exp(-2.0 * u) + 1.0), 1.0 / (math.exp(2.0 * u) + 1.0)
+        w = math.pi * math.cosh(t) * s * s_c  # ds/dt
+        if infinite:
+            return w / (s_c * s_c) * f(a + s / s_c)
+        x = a + (b - a) * s if s <= 0.5 else b - (b - a) * s_c
+        return w * (b - a) * f(x)
+
+    level0 = [term(float(k)) for k in range(-QUAD_T_MAX, QUAD_T_MAX + 1)]
+    total = math.fsum(level0)
+    h, value = 1.0, total
+    for level in range(QUAD_LEVELS):
+        h *= 0.5
+        steps = round(QUAD_T_MAX / h)
+        total += math.fsum(term(k * h) for k in range(1 - steps, steps, 2))
+        value, err = h * total, abs(h * total - value)
+        tol = max(epsabs, epsrel * abs(value))
+        if level >= 2 and err <= tol:
+            if max(abs(level0[0]), abs(level0[-1])) > tol:
+                raise ConvergenceError(
+                    f"integrand does not vanish at the ends of [{a}, {b}]: "
+                    f"{level0[0]:.3g}, {level0[-1]:.3g}"
+                )
+            return value, err
+    raise ConvergenceError(
+        f"tanh-sinh quadrature on [{a}, {b}] changed by {err:.3g} at step {h:g}"
+    )
+
+
 def integral_identity_check(b: complex, z: float) -> float:
     """Quadrature residual of the identity
 
@@ -230,13 +349,12 @@ def integral_identity_check(b: complex, z: float) -> float:
         raise DomainError(f"z must be positive, got {z}")
     idx1 = WhittakerIndex(1, b)
 
-    lhs, _ = quad(
+    lhs, _ = _quad(
         lambda t: whittaker_w(idx1, z * t) * math.exp(-0.5 * z * t) / t,
         1.0,
         math.inf,
         epsabs=1e-12,
         epsrel=1e-10,
-        limit=300,
     )
     rhs = math.exp(-0.5 * z) * whittaker_w(WhittakerIndex(0, b), z)
     return abs(lhs - rhs)
@@ -280,13 +398,12 @@ def norm_identity_check(params: ModelParams, se: SpectralIndex, h_scale: float =
 
     # the eigenfunction phi(x, lam) = exp(z/2) z^-1 W_{1,b}(z), z = 2/(mu^2 x),
     # with the index built once for every quadrature node
-    norm2, _ = quad(
+    norm2, _ = _quad(
         lambda x: speed_density(x, params) * whittaker_w_scaled(idx, 2.0 / (mu2 * x)) ** 2,
         0.0,
         A,
         epsabs=1e-12,
         epsrel=1e-10,
-        limit=300,
     )
 
     def w_of_lambda(lam):

@@ -15,6 +15,7 @@ Whittaker form, so pdf/cdf can be asked for on arbitrary grids.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .eigensolver import EigenResult, _polish, dominant_eigenvalue
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 MAX_MOMENT_ORDER = 50
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,8 @@ def moments(sol: QsdSolution, n_max: int) -> MomentSeries:
         M_n [mu^2 n(n-1)/2 - lam] + n M_{n-1} = -lam A^n,  M_0 = 1.
 
     The denominator is bounded away from zero for lam <= 0, so the recursion
-    has no singularity; growth M_n ~ A^n caps the order at 50.
+    has no singularity; growth M_n ~ A^n caps the order at 50, and at the
+    largest n with A^n finite when that is lower.
     """
     if n_max < 0:
         raise DomainError(f"moment order must be nonnegative, got {n_max}")
@@ -137,6 +140,11 @@ def moments(sol: QsdSolution, n_max: int) -> MomentSeries:
         )
     lam = sol.se.lam
     A, mu2 = sol.params.A, sol.params.mu2
+    if A > 1.0 and n_max * math.log(A) > _LOG_FLOAT_MAX:
+        raise DomainError(
+            f"moment order {n_max} overflows at A = {A:.6g}: A^n is finite only up to "
+            f"n = {int(_LOG_FLOAT_MAX / math.log(A))}"
+        )
     ms = [1.0]
     for n in range(1, n_max + 1):
         m = (-lam * A**n - n * ms[-1]) / (0.5 * mu2 * n * (n - 1) - lam)

@@ -1,5 +1,6 @@
-"""The core package and the table/pdf/cdf/approx commands need neither
-scipy nor, at import, numpy; the oracle names load on first access."""
+"""The package never needs scipy, and the core needs no numpy at import:
+every command, ``validate --skip mc`` included, and the oracles run with
+scipy blocked; the oracle names load on first access."""
 
 import os
 import subprocess
@@ -35,11 +36,21 @@ def test_import_loads_neither_scipy_nor_numpy():
     ["pdf", "--grid", "50"],
     ["cdf", "--grid", "50"],
     ["approx", "--grid", "50"],
-], ids=["table", "pdf", "cdf", "approx"])
+    ["validate", "--skip", "mc"],  # exit 0: every check passed
+], ids=["table", "pdf", "cdf", "approx", "validate"])
 def test_command_runs_without_scipy(argv):
     proc = run_without_scipy(
         "from qsd_sr.cli import main\n"
         f"sys.exit(main({argv + ['--out', os.devnull]!r}))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_simulation_runs_without_scipy():
+    proc = run_without_scipy(
+        "from qsd_sr import ModelParams, simulate_killed_sr\n"
+        "law = simulate_killed_sr(ModelParams(1.0, 20.0), r=5.0, dt=1e-2, T=1.0, n_paths=100, seed=1)\n"
+        "assert law.n_survivors > 0\n"
     )
     assert proc.returncode == 0, proc.stderr
 

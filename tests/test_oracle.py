@@ -1,12 +1,16 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
 from oracles import ks_distance
-from qsd_sr import oracle
+from qsd_sr import cli, oracle
 from qsd_sr import (
+    ConvergenceError,
     DomainError,
     ModelParams,
     NoSurvivorsError,
@@ -67,6 +71,96 @@ class TestSturmLiouville:
     def test_rejects_tiny_grid(self, params_mu1_A20):
         with pytest.raises(DomainError):
             sturm_liouville_eigen(params_mu1_A20, 99)
+
+
+# (mu, A, n_grid): c = mu^2 A from C_MIN = 0.5 (slowest inverse iteration)
+# to 2e4, and up to the mc-oracle grid size of 2e5 nodes
+_GRID_CASES = [(1.0, 20.0, 2500), (1.0, 20.0, 20000), (1.0, 0.5, 20000), (0.5, 2.0, 20000),
+               (1.0, 2000.0, 20000), (2.0, 5000.0, 200000)]
+
+# lambda_hat of the LAPACK (scipy eigh_tridiagonal) solver this one replaced,
+# whose Rayleigh quotient expanded K phi; at 2e5 nodes that cancellation
+# left it 2.0e-8 off the discrete eigenvalue, so that case is pinned to
+# LAPACK's eigenvector only (test_matches_lapack)
+_LAPACK_LAMBDA_HAT = {
+    (1.0, 20.0, 2500): -0.05885615099915639,
+    (1.0, 20.0, 20000): -0.058856148669077464,
+    (1.0, 0.5, 20000): -6.449376299189695,
+    (0.5, 2.0, 20000): -1.6123440747974238,
+    (1.0, 2000.0, 20000): -0.0005027032685048076,
+}
+
+
+def _lapack_vector(d, e):
+    _, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    v = vecs[:, 0]
+    return v if v.sum() > 0.0 else -v
+
+
+class TestGridEigenAgainstLapack:
+    @pytest.mark.parametrize("mu, A, n_grid", _GRID_CASES)
+    def test_matches_lapack(self, monkeypatch, mu, A, n_grid):
+        # the eigenvector against LAPACK's on the same matrix, then the whole
+        # solution against the one built on LAPACK's vector
+        params, seen = ModelParams(mu, A), {}
+        solve = oracle._lowest_eigenvector
+
+        def recording(d, e):
+            seen["de"], seen["v"] = (d, e), solve(d, e)
+            return seen["v"]
+
+        monkeypatch.setattr(oracle, "_lowest_eigenvector", recording)
+        gs = sturm_liouville_eigen(params, n_grid)
+        assert np.max(np.abs(seen["v"] - _lapack_vector(*seen["de"]))) <= 1e-9
+        monkeypatch.setattr(oracle, "_lowest_eigenvector", _lapack_vector)
+        ref = sturm_liouville_eigen(params, n_grid)
+        assert abs(gs.lambda_hat - ref.lambda_hat) <= 1e-12 * abs(ref.lambda_hat)
+        assert np.max(np.abs(gs.q_hat - ref.q_hat)) <= 1e-9 * np.max(ref.q_hat)
+
+    @pytest.mark.parametrize("mu, A, n_grid", sorted(_LAPACK_LAMBDA_HAT))
+    def test_eigenvalue_matches_lapack_solver(self, mu, A, n_grid):
+        ref = _LAPACK_LAMBDA_HAT[mu, A, n_grid]
+        lam = sturm_liouville_eigen(ModelParams(mu, A), n_grid).lambda_hat
+        assert abs(lam - ref) < 1e-9 * abs(ref)
+
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "SL_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError):
+            sturm_liouville_eigen(ModelParams(1.0, 0.5), 2500)
+
+
+class TestQuadrature:
+    def test_matches_scipy_quad_on_validate_integrands(self, monkeypatch):
+        calls = []
+        quad_ = oracle._quad
+
+        def recording(f, a, b, epsabs, epsrel):
+            calls.append((f, a, b, epsabs, epsrel))
+            return quad_(f, a, b, epsabs, epsrel)
+
+        monkeypatch.setattr(oracle, "_quad", recording)
+        assert cli.main(["validate", "--skip", "mc", "--out", os.devnull]) == 0
+        assert calls
+        for f, a, b, epsabs, epsrel in calls:
+            value, err = quad_(f, a, b, epsabs, epsrel)
+            ref, _ = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=300)
+            tol = max(epsabs, epsrel * abs(ref))
+            assert err <= tol and abs(value - ref) <= tol, (a, b, value, ref)
+
+    def test_step_does_not_converge(self):
+        # a jump leaves an O(h) error at every level
+        with pytest.raises(ConvergenceError):
+            oracle._quad(lambda x: float(x < 1.0 / 3.0), 0.0, 1.0, 1e-12, 1e-10)
+
+    def test_nonintegrable_end_raises(self):
+        # the truncated rule would sum 1/x to a finite number
+        with pytest.raises(ConvergenceError):
+            oracle._quad(lambda x: 1.0 / x, 0.0, 1.0, 1e-12, 1e-10)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0), (-math.inf, 0.0), (math.nan, 1.0)])
+    def test_bad_interval(self, a, b):
+        with pytest.raises(DomainError):
+            oracle._quad(math.exp, a, b, 1e-12, 1e-10)
 
 
 class TestSimulation:

@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -213,6 +214,17 @@ class TestMoments:
         assert ms[0] == 1.0
         for n in range(1, 11):
             assert 0.0 < ms[n] < 20.0**n
+
+    def test_order_past_float_range_is_domain_error(self):
+        # 2e6^49 overflows a double; the guard names the last order that fits
+        sol = build_solution(ModelParams(1.0, 2e6))
+        with pytest.raises(DomainError, match="up to n = 48"):
+            moments(sol, 50)
+        assert math.isfinite(moments(sol, 48)[48])
+
+    def test_order_50_at_large_threshold(self):
+        ms = moments(build_solution(ModelParams(1.0, 1e5)), 50)
+        assert ms[50] == pytest.approx(8.164771413158043e241, rel=1e-12)
 
     def test_order_cap(self, sol_mu1_A20):
         moments(sol_mu1_A20, 50)
