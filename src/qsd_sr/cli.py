@@ -25,28 +25,16 @@ import math
 import sys
 
 from . import asymptotics, qsd
-from .eigensolver import _check_domain, dominant_eigenvalue
+from .checks import (MC_HEADSTART, MC_PARAMS, REFERENCE_TABLE, SUITES, golden_comparison,
+                     neg_lambda_row)
+from .eigensolver import _check_domain
 from .errors import DomainError, QsdError, ThresholdTooSmallError
-from .specfun import ModelParams, exp_scaled_e1, meijer_g_special
+from .specfun import ModelParams
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_MISMATCH = 2
 EXIT_USAGE = 64
-
-# Reference values for mu = 1, twelve decimals: negated dominant eigenvalue
-# and its order-1/2/3 approximations, used as golden regression data.
-REFERENCE_TABLE = {
-    20: ("0.058856148622", "0.05", "0.059819055496", "0.058817735494"),
-    30: ("0.037786534271", "0.033333333333", "0.03811217223", "0.03777661428"),
-    40: ("0.027727324417", "0.025", "0.027880519395", "0.027723505394"),
-    50: ("0.02186160095", "0.02", "0.021947421685", "0.02185977578"),
-    100: ("0.010563106075", "0.01", "0.010577520296", "0.010562921283"),
-    500: ("0.002033066472", "0.002", "0.002033295282", "0.002033065611"),
-    1000: ("0.0010095172", "0.001", "0.001009554734", "0.001009517118"),
-    10000: ("0.000100139278", "0.0001", "0.000100139359", "0.000100139278"),
-}
-DEFAULT_THRESHOLDS = tuple(REFERENCE_TABLE)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,29 +68,15 @@ def _write_table(columns, rows, fmt, out_path, warnings=()):
     _emit(text, out_path)
 
 
-def _neg_lambda_row(params):
-    """[-lam, -lam*, -lam**, -lam***] at ``params``; nan for an order whose
-    truncation has no admissible root."""
-    row = [-dominant_eigenvalue(params).lam]
-    for lambda_order in asymptotics.LAMBDA_BY_ORDER.values():
-        try:
-            row.append(-lambda_order(params))
-        except ThresholdTooSmallError:
-            row.append(math.nan)
-    return row
-
-
 def cmd_table(args) -> int:
     rows = []
     mismatches = []
     for p in args.params:
-        row = _neg_lambda_row(p)
+        row = neg_lambda_row(p)
         rows.append((p.A, *row))
-        key = int(p.A) if float(p.A).is_integer() else None
-        if args.mu == 1.0 and key in REFERENCE_TABLE:
-            ref = float(REFERENCE_TABLE[key][0])
-            if abs(row[0] - ref) > args.tol:
-                mismatches.append((p.A, row[0], ref))
+        golden = golden_comparison(p, row)
+        if golden and golden[0][1] > args.tol:
+            mismatches.append((p.A, row[0], golden[0][0]))
     columns = ["A", "neg_lambda", "neg_lambda_order1", "neg_lambda_order2",
                "neg_lambda_order3"]
     if args.format == "json":
@@ -116,11 +90,9 @@ def cmd_table(args) -> int:
             lines.append(",".join([f"{r[0]:g}"] + [f"{v:.12f}" for v in r[1:]]))
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
-    if mismatches:
-        for a, got, ref in mismatches:
-            print(f"mismatch at A={a:g}: computed {got:.12f}, reference {ref:.12f}", file=sys.stderr)
-        return EXIT_MISMATCH
-    return EXIT_OK
+    for a, got, ref in mismatches:
+        print(f"mismatch at A={a:g}: computed {got:.12f}, reference {ref:.12f}", file=sys.stderr)
+    return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
 # grid command -> (exact-law function, column name)
@@ -162,155 +134,23 @@ def cmd_approx(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# validation suites
-# ---------------------------------------------------------------------------
-
-def _check(name, group, residual, tolerance, detail=""):
-    status = "pass" if residual <= tolerance else "fail"
-    return {
-        "name": name,
-        "group": group,
-        "status": status,
-        "residual": float(residual),
-        "tolerance": float(tolerance),
-        "detail": detail,
-    }
-
-
-def _validate_exact(tol):
-    from .oracle import _quad
-
-    checks = []
-    names = ("eigenvalue", "lambda_order1", "lambda_order2", "lambda_order3")
-    for a, refs in REFERENCE_TABLE.items():
-        row = _neg_lambda_row(ModelParams(mu=1.0, A=float(a)))
-        for name, val, ref, t in zip(names, row, refs, (tol, 1e-9, 1e-9, 1e-9)):
-            checks.append(_check(f"{name}_A{a}", "exact", abs(val - float(ref)), t))
-    for mu in (0.5, 1.0, 1.5):
-        for a in (5.0, 20.0, 100.0):
-            p = ModelParams(mu=mu, A=a)
-            sol = qsd.build_solution(p)
-            total, _ = _quad(lambda x: qsd.pdf(x, sol), 0.0, a, epsabs=1e-11, epsrel=1e-10)
-            checks.append(_check(f"normalization_mu{mu}_A{a:g}", "exact", abs(total - 1.0), 1e-8))
-            flux = qsd.boundary_flux_identity(sol)
-            checks.append(
-                _check(
-                    f"boundary_flux_mu{mu}_A{a:g}",
-                    "exact",
-                    abs(flux - sol.se.lam) / abs(sol.se.lam),
-                    1e-5,
-                )
-            )
-    return checks
-
-
-def _validate_identities():
-    from . import oracle
-
-    checks = []
-    for b, z in ((0.2, 1.0), (0.5, 2.0), (0.25j, 0.5)):
-        res = oracle.integral_identity_check(b, z)
-        checks.append(_check(f"integral_identity_b{b}_z{z}", "identities", res, 1e-8))
-    for k in (1, 2, 3):
-        for x in (0.5, 2.0, 10.0):
-            res = oracle.index_derivative_check(k, x)
-            checks.append(_check(f"index_derivative_k{k}_x{x:g}", "identities", res, 1e-5))
-    x = 2.0
-    alt, _ = oracle._quad(lambda y: exp_scaled_e1(y) / y, x, math.inf, epsabs=1e-12, epsrel=1e-11)
-    checks.append(_check("meijer_g_tail_form_x2", "identities", abs(meijer_g_special(x) - alt), 1e-9))
-    return checks
-
-
-def _validate_sl(n_grid=20000):
-    from . import oracle
-
-    p = ModelParams(mu=1.0, A=20.0)
-    sol = qsd.build_solution(p)
-    grid_sol = oracle.sturm_liouville_eigen(p, n_grid)
-    lam_err = abs(grid_sol.lambda_hat - sol.se.lam) / abs(sol.se.lam)
-    checks = [_check("sl_eigenvalue_relative", "sl", lam_err, 1e-4)]
-    step = max(1, grid_sol.grid.size // 2000)
-    dev = max(
-        abs(qsd.pdf(float(x), sol) - float(qh))
-        for x, qh in zip(grid_sol.grid[::step], grid_sol.q_hat[::step])
-    )
-    checks.append(_check("sl_density_sup_deviation", "sl", dev, 1e-4))
-    checks.append(_check("norm_identity_relative", "sl", oracle.norm_identity_check(p, sol.se), 1e-4))
-    return checks
-
-
-# the Monte-Carlo suite's model and headstart
-_MC_PARAMS, _MC_HEADSTART = ModelParams(mu=1.0, A=20.0), 5.0
-
-
-def _validate_mc(args):
-    from . import oracle
-
-    sol = qsd.build_solution(_MC_PARAMS)
-    law = oracle.simulate_killed_sr(_MC_PARAMS, r=_MC_HEADSTART, dt=args.dt, T=args.horizon,
-                                    n_paths=args.paths, seed=args.seed)
-    ks = _ks_distance(law.samples, sol)
-    checks = [
-        _check(
-            "mc_ks_distance",
-            "mc",
-            ks,
-            0.01,
-            detail=f"{law.n_survivors} survivors of {law.n_paths_total}",
-        )
-    ]
-    return checks
-
-
-def _ks_distance(samples, sol):
-    n = samples.size
-    cdf_vals = [qsd.cdf(float(v), sol) for v in samples]
-    d = 0.0
-    for i, c in enumerate(cdf_vals):
-        d = max(d, abs((i + 1) / n - c), abs(i / n - c))
-    return d
-
-
 def cmd_validate(args) -> int:
     skip = set(args.skip or ())
     checks = []
-    suites = (
-        ("exact", lambda: _validate_exact(args.tol)),
-        ("identities", _validate_identities),
-        ("sl", _validate_sl),
-        ("mc", lambda: _validate_mc(args)),
-    )
-    for group, runner in suites:
+    for group, suite in SUITES.items():
         if group in skip:
-            checks.append(
-                {"name": group, "group": group, "status": "skipped", "residual": None,
-                 "tolerance": None, "detail": "skipped by request"}
-            )
-            continue
-        checks.extend(runner())
+            checks.append({"name": group, "group": group, "status": "skipped", "residual": None,
+                           "tolerance": None, "detail": "skipped by request"})
+        else:
+            checks.extend(suite(args))
     failed = [c for c in checks if c["status"] == "fail"]
-    report = {
-        "config": {
-            "tol": args.tol,
-            "paths": args.paths,
-            "dt": args.dt,
-            "horizon": args.horizon,
-            "seed": args.seed,
-            "skip": sorted(skip),
-        },
-        "checks": checks,
-        "n_failed": len(failed),
-    }
+    config = {k: getattr(args, k) for k in ("tol", "paths", "dt", "horizon", "seed")}
+    report = {"config": {**config, "skip": sorted(skip)}, "checks": checks, "n_failed": len(failed)}
     _emit(json.dumps(report, indent=2) + "\n", args.out)
-    if failed:
-        for c in failed:
-            print(
-                f"FAIL {c['name']}: residual {c['residual']:.3e} > tol {c['tolerance']:.3e}",
-                file=sys.stderr,
-            )
-        return EXIT_MISMATCH
-    return EXIT_OK
+    for c in failed:
+        print(f"FAIL {c['name']}: residual {c['residual']:.3e} > tol {c['tolerance']:.3e}",
+              file=sys.stderr)
+    return EXIT_MISMATCH if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +178,7 @@ def build_parser() -> _Parser:
     t = sub.add_parser("table", help="eigenvalue table with order-1/2/3 approximations")
     _add_common(t)
     _add_golden_tol(t)
-    t.set_defaults(fn=cmd_table, default_A=DEFAULT_THRESHOLDS)
+    t.set_defaults(fn=cmd_table, default_A=tuple(REFERENCE_TABLE))
 
     for name, fn in (("pdf", cmd_law), ("cdf", cmd_law), ("approx", cmd_approx)):
         sp = sub.add_parser(name, help=f"tabulate {name} on a grid")
@@ -354,7 +194,7 @@ def build_parser() -> _Parser:
     v = sub.add_parser("validate", help="run verification suites")
     _add_common(v, model=False)
     _add_golden_tol(v)
-    v.add_argument("--skip", action="append", choices=("exact", "identities", "sl", "mc"),
+    v.add_argument("--skip", action="append", choices=tuple(SUITES),
                    help="suite to skip (repeatable)")
     v.add_argument("--seed", type=int, default=20260810)
     v.add_argument("--paths", type=int, default=200000)
@@ -381,8 +221,7 @@ def main(argv=None) -> int:
         else:
             from .oracle import _check_mc_args
 
-            _check_mc_args(_MC_PARAMS, _MC_HEADSTART, args.dt, args.horizon, args.paths,
-                           args.seed)
+            _check_mc_args(MC_PARAMS, MC_HEADSTART, args.dt, args.horizon, args.paths, args.seed)
     except DomainError as exc:
         ap.error(str(exc))
     if grid:

@@ -129,7 +129,7 @@ def dominant_eigenvalue(params: ModelParams) -> EigenResult:
     Works in s = 1 + 8 lam/mu^2 at c = mu^2 A.  Evaluates the eigen equation
     at the 65 nodes of a uniform 64-interval grid over the analytic bracket.
     Exactly one sign change is bisected down to adjacent doubles in s, so
-    lam carries about eps c/8 relative error; a solve takes 72-112
+    lam carries about eps c/8 relative error; a solve takes 71-116
     evaluations for c from 0.5 to 1e9.  No sign change raises
     :class:`BracketError`; several raise :class:`AmbiguousRootError` with
     every candidate polished (both in lam).  A finer grid cannot help: it

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from qsd_sr import ModelParams, build_solution
-from qsd_sr.cli import REFERENCE_TABLE  # noqa: F401  golden data, mu = 1
+from qsd_sr.checks import REFERENCE_TABLE  # noqa: F401  golden data, mu = 1
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,9 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
-one PASS/FAIL line (run with ``pytest -s`` to see them on success)."""
+one PASS/FAIL line (run with ``pytest -s`` to see them on success).
+
+Criteria 1, 2, 6 and 8 and the boundary flux of criterion 4 assert on the
+results of the check registry behind ``qsd-sr validate``: each holds the
+residuals to its own tolerance and requires the registry's to be no looser."""
 
 import time
 
@@ -12,26 +16,26 @@ from qsd_sr import (
     ModelParams,
     SpectralIndex,
     WhittakerIndex,
-    boundary_flux_identity,
     build_solution,
     cdf,
     dominant_eigenvalue,
     eigen_bracket,
-    index_derivative_check,
     lambda_order1,
     lambda_order2,
     lambda_order3,
     moments,
     pdf,
     simulate_killed_sr,
-    sturm_liouville_eigen,
     variance,
     whittaker_expansion3,
     whittaker_w,
 )
+from qsd_sr.checks import SUITES
+from qsd_sr.cli import build_parser
 
 GRID_POINTS = 10_000
 EXACT_LAW_SWEEP = [(mu, A) for mu in (0.5, 1.0, 1.5) for A in (5.0, 20.0, 100.0)]
+VALIDATE_ARGS = build_parser().parse_args(["validate"])  # validate's defaults
 
 
 def report(criterion, failures, elapsed, budget, detail=""):
@@ -41,34 +45,31 @@ def report(criterion, failures, elapsed, budget, detail=""):
     assert elapsed <= budget, f"{criterion} exceeded runtime budget: {elapsed:.1f}s"
 
 
+def registry_failures(group, names, tol):
+    """Run the registry's ``group`` suite and hold the residuals and the
+    tolerances of its checks ``names`` to ``tol``: (failures, worst residual)."""
+    checks = {c["name"]: c for c in SUITES[group](VALIDATE_ARGS)}
+    found = [checks.get(n, {"name": n, "residual": np.nan, "tolerance": np.nan}) for n in names]
+    failures = [f"{c['name']}: residual {c['residual']:.3e}, registry tolerance "
+                f"{c['tolerance']:g}, limit {tol:g}"
+                for c in found if not (c["residual"] <= tol and c["tolerance"] <= tol)]
+    return failures, max(c["residual"] for c in found)
+
+
 def test_criterion_1_eigenvalue_table():
     t0 = time.perf_counter()
-    failures = []
-    worst = 0.0
-    for A, refs in REFERENCE_TABLE.items():
-        lam = dominant_eigenvalue(ModelParams(mu=1.0, A=float(A))).lam
-        err = abs(-lam - float(refs[0]))
-        worst = max(worst, err)
-        if err > 1e-10:
-            failures.append(f"A={A}: |err|={err:.3e} > 1e-10")
-    elapsed = time.perf_counter() - t0
-    report("1 (eigenvalue table, 1e-10)", failures, elapsed, 10.0, f"worst {worst:.2e}")
+    failures, worst = registry_failures(
+        "exact", [f"eigenvalue_A{A}" for A in REFERENCE_TABLE], 1e-10)
+    report("1 (eigenvalue table, 1e-10)", failures, time.perf_counter() - t0, 10.0,
+           f"worst {worst:.2e}")
 
 
 def test_criterion_2_approximation_table():
     t0 = time.perf_counter()
-    failures = []
-    worst = 0.0
-    order_fns = {1: lambda_order1, 2: lambda_order2, 3: lambda_order3}
-    for A, refs in REFERENCE_TABLE.items():
-        p = ModelParams(mu=1.0, A=float(A))
-        for order in (1, 2, 3):
-            err = abs(-order_fns[order](p) - float(refs[order]))
-            worst = max(worst, err)
-            if err > 1e-9:
-                failures.append(f"A={A} order={order}: |err|={err:.3e} > 1e-9")
-    elapsed = time.perf_counter() - t0
-    report("2 (approximation table, 1e-9)", failures, elapsed, 5.0, f"worst {worst:.2e}")
+    failures, worst = registry_failures(
+        "exact", [f"lambda_order{k}_A{A}" for A in REFERENCE_TABLE for k in (1, 2, 3)], 1e-9)
+    report("2 (approximation table, 1e-9)", failures, time.perf_counter() - t0, 5.0,
+           f"worst {worst:.2e}")
 
 
 def test_criterion_3_accuracy_ordering():
@@ -108,10 +109,8 @@ def test_criterion_4_exact_law_properties():
             failures.append(
                 f"{tag}: {count_slope_sign_changes(pdf_vals)} slope sign changes"
             )
-        flux = boundary_flux_identity(sol)
-        if abs(flux - sol.se.lam) / abs(sol.se.lam) > 1e-5:
-            failures.append(f"{tag}: boundary flux off by "
-                            f"{abs(flux - sol.se.lam) / abs(sol.se.lam):.2e}")
+    failures += registry_failures(
+        "exact", [f"boundary_flux_mu{mu}_A{A:g}" for mu, A in EXACT_LAW_SWEEP], 1e-5)[0]
     report("4 (exact-law properties)", failures, time.perf_counter() - t0, 60.0)
 
 
@@ -143,12 +142,9 @@ def test_criterion_5_moments():
 
 def test_criterion_6_index_derivative_identities():
     t0 = time.perf_counter()
-    failures = []
-    for k in (1, 2, 3):
-        for x in (0.5, 2.0, 10.0):
-            rel = index_derivative_check(k, x)
-            if rel > 1e-5:
-                failures.append(f"k={k}, x={x}: rel {rel:.2e} > 1e-5")
+    failures, _ = registry_failures(
+        "identities", [f"index_derivative_k{k}_x{x:g}" for k in (1, 2, 3) for x in (0.5, 2.0, 10.0)],
+        1e-5)
     report("6 (index-derivative identities)", failures, time.perf_counter() - t0, 30.0)
 
 
@@ -170,22 +166,10 @@ def test_criterion_7_expansion_order():
 
 def test_criterion_8_discretized_oracle_agreement():
     t0 = time.perf_counter()
-    failures = []
-    p = ModelParams(mu=1.0, A=20.0)
-    sol = build_solution(p)
-    gs = sturm_liouville_eigen(p, 20000)
-    rel = abs(gs.lambda_hat - sol.se.lam) / abs(sol.se.lam)
-    if rel > 1e-4:
-        failures.append(f"eigenvalue deviation {rel:.2e} > 1e-4")
-    step = max(1, gs.grid.size // 2000)
-    dev = max(
-        abs(pdf(float(x), sol) - float(q))
-        for x, q in zip(gs.grid[::step], gs.q_hat[::step])
-    )
-    if dev > 1e-4:
-        failures.append(f"density sup deviation {dev:.2e} > 1e-4")
+    failures, worst = registry_failures(
+        "sl", ["sl_eigenvalue_relative", "sl_density_sup_deviation"], 1e-4)
     report("8 (discretized eigenproblem oracle)", failures, time.perf_counter() - t0,
-           60.0, f"lam rel {rel:.1e}, density sup {dev:.1e}")
+           60.0, f"worst of eigenvalue and density sup {worst:.1e}")
 
 
 def test_criterion_9_monte_carlo():

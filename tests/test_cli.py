@@ -39,9 +39,11 @@ class TestTable:
         assert lines[1].split(",")[1] == "0.000100139278"
 
     def test_impossible_tolerance(self, capsys):
-        code, _, err = run_cli(capsys, "table", "--tol", "0")
-        assert code == EXIT_MISMATCH
-        assert "mismatch" in err
+        # lam depends on mu^2 alone, so mu = -1 is held to the mu = 1 table
+        for mu in ("1", "-1"):
+            code, _, err = run_cli(capsys, "table", "--mu", mu, "--tol", "0")
+            assert code == EXIT_MISMATCH, mu
+            assert "mismatch" in err
 
     def test_negative_tolerance_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -177,6 +179,30 @@ class TestValidate:
         assert statuses <= {"pass", "skipped"}
         skipped = [c for c in report["checks"] if c["status"] == "skipped"]
         assert {c["group"] for c in skipped} == {"mc", "sl"}
+
+    def test_fast_checks_pinned(self, capsys):
+        # every check of validate --skip mc, in order and with its tolerance,
+        # so that none is dropped or loosened
+        code, out, _ = run_cli(capsys, "validate", "--skip", "mc")
+        assert code == EXIT_OK
+        got = [(c["name"], c["group"], c["tolerance"], c["status"])
+               for c in json.loads(out)["checks"]]
+        exact = [(f"{n}_A{a}", t) for a in (20, 30, 40, 50, 100, 500, 1000, 10000)
+                 for n, t in (("eigenvalue", 1e-10), ("lambda_order1", 1e-9),
+                              ("lambda_order2", 1e-9), ("lambda_order3", 1e-9))]
+        exact += [(f"{n}_mu{mu}_A{a}", t) for mu in ("0.5", "1.0", "1.5") for a in (5, 20, 100)
+                  for n, t in (("normalization", 1e-8), ("boundary_flux", 1e-5))]
+        identities = [(f"integral_identity_{bz}", 1e-8)
+                      for bz in ("b0.2_z1.0", "b0.5_z2.0", "b0.25j_z0.5")]
+        identities += [(f"index_derivative_k{k}_x{x}", 1e-5)
+                       for k in (1, 2, 3) for x in ("0.5", "2", "10")]
+        identities += [("meijer_g_tail_form_x2", 1e-9)]
+        sl = [(n, 1e-4) for n in
+              ("sl_eigenvalue_relative", "sl_density_sup_deviation", "norm_identity_relative")]
+        want = [(n, group, t, "pass")
+                for group, named in (("exact", exact), ("identities", identities), ("sl", sl))
+                for n, t in named]
+        assert got == want + [("mc", "mc", None, "skipped")]
 
     def test_validate_usage_error(self):
         with pytest.raises(SystemExit) as exc:
