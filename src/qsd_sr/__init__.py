@@ -18,7 +18,6 @@ from .errors import (
 )
 from .specfun import (
     ModelParams,
-    SpectralIndex,
     WhittakerIndex,
     exp_integral_e1,
     exp_scaled_e1,
@@ -37,7 +36,6 @@ from .eigensolver import (
     eigen_bracket,
 )
 from .qsd import (
-    MomentSeries,
     QsdSolution,
     boundary_flux_identity,
     build_solution,
@@ -83,11 +81,9 @@ __all__ = [
     "EmpiricalLaw",
     "GridSolution",
     "ModelParams",
-    "MomentSeries",
     "NoSurvivorsError",
     "QsdError",
     "QsdSolution",
-    "SpectralIndex",
     "ThresholdTooSmallError",
     "WhittakerIndex",
     "boundary_flux_identity",

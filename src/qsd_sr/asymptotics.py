@@ -29,12 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .eigensolver import _check_domain
+from .eigensolver import _check_domain, _index_b
 from .errors import DomainError, ThresholdTooSmallError
 from .qsd import normalization
 from .specfun import (
     ModelParams,
-    SpectralIndex,
     WhittakerIndex,
     _g_and_l,
     meijer_g_special,
@@ -189,6 +188,5 @@ def build_approx(params: ModelParams, order: int) -> ApproxSolution:
         raise DomainError(f"approximation order must be 1, 2 or 3, got {order}")
     _check_domain(params)
     lam = LAMBDA_BY_ORDER[order](params)
-    se = SpectralIndex.from_lambda(min(lam, 0.0), params.mu)
-    denom = normalization(params, WhittakerIndex(0, se.b))
+    denom = normalization(params, WhittakerIndex(0, _index_b(min(lam, 0.0), params.mu2)))
     return ApproxSolution(order=order, lambda_approx=lam, params=params, denom=denom)

@@ -6,16 +6,17 @@ The eigenvalue is the largest nonpositive root lam of
 
 The pair (mu, A) enters only through c = mu^2 A and lam only through
 s = xi^2 = 1 + 8 lam/mu^2, so the solve runs in s at z_A = 2/c and forms
-lam = mu^2 (s - 1)/8 once at the end: lam(mu, A) = mu^2 lam(1, c) bit for bit
-whenever mu^2 A is the same double.  The root is searched inside the
-closed-form bracket obtained from non-negativity of the law's variance.  One
-65-node uniform scan of the bracket locates every sign change (the bracket
-provably contains the dominant root, but uniqueness inside it is an
-empirical matter, hence the runtime check); the single sign change is
-bisected until its ends are adjacent doubles, which leaves lam within about
-eps c/8 relative of the true root.  Every evaluation shares the argument
-z_A, so the terms of the kernel's trapezoid sum are computed once per solve
-and each evaluation only weights them by cosh(b t_k), b = sqrt(s)/2.
+lam = mu^2 (s - 1)/8 and the law's index b = sqrt(s)/2 once at the end:
+lam(mu, A) = mu^2 lam(1, c), and b, bit for bit whenever mu^2 A is the same
+double.  The root is searched inside the closed-form bracket obtained from
+non-negativity of the law's variance.  One 65-node uniform scan of the
+bracket locates every sign change (the bracket provably contains the
+dominant root, but uniqueness inside it is an empirical matter, hence the
+runtime check); the single sign change is bisected until its ends are
+adjacent doubles, which leaves lam within about eps c/8 relative of the true
+root.  Every evaluation shares the argument z_A, so the terms of the
+kernel's trapezoid sum are computed once per solve and each evaluation only
+weights them by cosh(b t_k), b = sqrt(s)/2.
 """
 
 from __future__ import annotations
@@ -38,12 +39,16 @@ __all__ = [
 # the number of scan intervals
 SCAN_NODES = 64
 
-# Smallest c = mu^2 A accepted: the domain checked against the oracles.
-# Below it the imaginary second index grows and the kernel's sum of
+# The c = mu^2 A accepted: the domain checked against the oracles.
+# Below C_MIN the imaginary second index grows and the kernel's sum of
 # cos(|b| t_k)-weighted terms cancels by about exp(pi |b| / 2).  Measured
 # with quad: |int q - 1| is 7e-16 at c = 0.5, 1e-15 at 0.3 and 3.6e-7 at
 # 0.12, where |b| = 11.2 and lam = -63.201 (the grid oracle gives -63.2).
+# Above C_MAX no oracle has checked lam, and rounding noise in the equation
+# takes over: at c = 1e10 it gives three sign changes, and at 1.25e11 and
+# 1e12 the bracket holds none.
 C_MIN = 0.5
+C_MAX = 1e9
 
 
 @dataclass(frozen=True)
@@ -56,10 +61,15 @@ class EigenBracket:
 
 @dataclass(frozen=True)
 class EigenResult:
+    """The dominant eigenvalue lam and its second Whittaker index
+    b = xi(lam)/2, both formed from the solver's root s = xi^2, so the law
+    depends on (mu, A) only through c = mu^2 A; plus the residual |W| at the
+    root and the count of equation evaluations."""
+
     lam: float
+    b: complex
     residual: float
     iterations: int
-    bracket: EigenBracket
 
 
 def _s_bracket(c: float) -> tuple:
@@ -75,6 +85,15 @@ def _lam(s: float, mu2: float) -> float:
     return mu2 * (s - 1.0) / 8.0
 
 
+def _index_b(lam: float, mu2: float) -> complex:
+    """b = sqrt(s)/2 at s = 1 + 8 lam/mu^2, for an eigenvalue that does not
+    come from the solver (an approximation, a finite-difference step);
+    raises :class:`DomainError` for lam > 0."""
+    if lam > 0.0:
+        raise DomainError(f"eigenvalue must be nonpositive, got {lam}")
+    return 0.5 * cmath.sqrt(1.0 + 8.0 * lam / mu2)
+
+
 def eigen_bracket(params: ModelParams) -> EigenBracket:
     """Analytic bracket for the dominant eigenvalue."""
     mu2 = params.mu2
@@ -83,10 +102,12 @@ def eigen_bracket(params: ModelParams) -> EigenBracket:
 
 
 def _check_domain(params: ModelParams) -> None:
-    """Raise :class:`DomainError` unless c = mu^2 A >= C_MIN."""
+    """Raise :class:`DomainError` unless C_MIN <= c = mu^2 A <= C_MAX."""
     c = params.mu2 * params.A
     if not (c >= C_MIN):
         raise DomainError(f"mu^2 A = {c:.6g} lies below the checked domain mu^2 A >= {C_MIN}")
+    if not (c <= C_MAX):
+        raise DomainError(f"mu^2 A = {c:.6g} lies above the checked domain mu^2 A <= {C_MAX:g}")
 
 
 def _eigen_terms(c: float) -> tuple:
@@ -134,12 +155,12 @@ def dominant_eigenvalue(params: ModelParams) -> EigenResult:
     :class:`BracketError`; several raise :class:`AmbiguousRootError` with
     every candidate polished (both in lam).  A finer grid cannot help: it
     contains every node of the coarser one, so it only keeps or adds sign
-    changes.  Raises :class:`DomainError` below ``c = mu^2 A = C_MIN``.
+    changes.  Raises :class:`DomainError` for ``c = mu^2 A`` outside
+    [C_MIN, C_MAX].
     """
     _check_domain(params)
     mu2 = params.mu2
     c = mu2 * params.A
-    br = eigen_bracket(params)
     lo, hi = _s_bracket(c)
     terms = _eigen_terms(c)
 
@@ -157,7 +178,7 @@ def dominant_eigenvalue(params: ModelParams) -> EigenResult:
     if vs[-1] == 0.0:
         intervals.append((xs[-1], xs[-1], 0.0, 0.0))
     if not intervals:
-        raise BracketError(br.lo, br.hi, vs[0], vs[-1])
+        raise BracketError(_lam(lo, mu2), _lam(hi, mu2), vs[0], vs[-1])
     roots = [(a, 0) if a == b else _polish(eq, a, b, fa, fb) for a, b, fa, fb in intervals]
     if len(roots) > 1:
         raise AmbiguousRootError(sorted(_lam(s, mu2) for s, _ in roots))
@@ -166,7 +187,7 @@ def dominant_eigenvalue(params: ModelParams) -> EigenResult:
     s = min(s, 1.0)
     return EigenResult(
         lam=_lam(s, mu2),
+        b=0.5 * cmath.sqrt(s),
         residual=abs(eq(s)),
         iterations=SCAN_NODES + 1 + more,
-        bracket=br,
     )

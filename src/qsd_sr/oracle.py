@@ -27,10 +27,10 @@ from numbers import Integral
 import numpy as np
 
 from .asymptotics import index_derivative_identity
+from .eigensolver import EigenResult, _index_b
 from .errors import ConvergenceError, DomainError, NoSurvivorsError
 from .specfun import (
     ModelParams,
-    SpectralIndex,
     WhittakerIndex,
     speed_density,
     whittaker_w,
@@ -54,10 +54,8 @@ __all__ = [
 _LEFT_EXPONENT_CAP = 80.0
 
 # Monte Carlo: noise is drawn in blocks of at most this many float32 normals
-# (1 MB), so the constant fixes the draw layout and every sample; the
-# empirical law is histogrammed on this many equal bins over [0, A].
+# (1 MB), so the constant fixes the draw layout and every sample.
 MC_BLOCK = 2**18
-MC_BINS = 200
 
 
 @dataclass(frozen=True)
@@ -72,18 +70,13 @@ class GridSolution:
 
 @dataclass(frozen=True)
 class EmpiricalLaw:
-    """Histogram/ECDF of the surviving simulated paths at the horizon,
-    conditional on survival."""
+    """The surviving simulated paths at the horizon, conditional on
+    survival: their sorted values (for ECDF/KS use) and how many of the
+    paths survived."""
 
-    bin_edges: np.ndarray
-    bin_masses: np.ndarray
-    n_paths_total: int
+    samples: np.ndarray
     n_survivors: int
-    seed: int
-    headstart: float
-    horizon: float
-    dt: float
-    samples: np.ndarray  # sorted survivor values, for ECDF/KS use
+    n_paths_total: int
 
 
 def _cr_factor(d, e):
@@ -258,10 +251,10 @@ def simulate_killed_sr(
 
     Paths follow R_{k+1} = R_k + dt + mu R_k sqrt(dt) xi_k and are killed on
     the first step that reaches the threshold; the conditional law of the
-    survivors at the horizon is returned as a histogram plus the sorted
-    sample values.  All paths share the stream ``np.random.default_rng(seed)``
-    drawn in blocks of MC_BLOCK normals, so the result is reproducible
-    bit-for-bit for a given seed.
+    survivors at the horizon is returned as the sorted sample values.  All
+    paths share the stream ``np.random.default_rng(seed)`` drawn in blocks
+    of MC_BLOCK normals, so the result is reproducible bit-for-bit for a
+    given seed.
     """
     n_steps = _check_mc_args(params, r, dt, T, n_paths, seed)
     survivors = _survivors(np.random.default_rng(seed), params, r, dt, n_paths, n_steps)
@@ -270,19 +263,8 @@ def simulate_killed_sr(
             f"no surviving paths at horizon T={T} (n_paths={n_paths}); "
             "increase n_paths or reduce T"
         )
-    edges = np.linspace(0.0, params.A, MC_BINS + 1)
-    counts, _ = np.histogram(survivors, bins=edges)
-    return EmpiricalLaw(
-        bin_edges=edges,
-        bin_masses=counts / survivors.size,
-        n_paths_total=n_paths,
-        n_survivors=int(survivors.size),
-        seed=seed,
-        headstart=r,
-        horizon=T,
-        dt=dt,
-        samples=np.sort(survivors),
-    )
+    return EmpiricalLaw(samples=np.sort(survivors), n_survivors=int(survivors.size),
+                        n_paths_total=n_paths)
 
 
 # Tanh-sinh quadrature: nodes t = k h on [-QUAD_T_MAX, QUAD_T_MAX], where the
@@ -380,7 +362,7 @@ def index_derivative_check(k: int, x: float) -> float:
     return abs(numeric - closed) / abs(closed)
 
 
-def norm_identity_check(params: ModelParams, se: SpectralIndex, h_scale: float = 1e-6) -> float:
+def norm_identity_check(params: ModelParams, se: EigenResult, h_scale: float = 1e-6) -> float:
     """Relative residual of the eigenfunction-norm identity
 
         int_0^A m(x) phi(x, lam)^2 dx
@@ -407,8 +389,7 @@ def norm_identity_check(params: ModelParams, se: SpectralIndex, h_scale: float =
     )
 
     def w_of_lambda(lam):
-        se_h = SpectralIndex.from_lambda(lam, params.mu)
-        return whittaker_w(WhittakerIndex(1, se_h.b), z_a)
+        return whittaker_w(WhittakerIndex(1, _index_b(lam, mu2)), z_a)
 
     h_lam = h_scale * max(abs(se.lam), 1e-3)
     d_lam = (w_of_lambda(se.lam + h_lam) - w_of_lambda(se.lam - h_lam)) / (2.0 * h_lam)

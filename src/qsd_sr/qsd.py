@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 from .eigensolver import EigenResult, _polish, dominant_eigenvalue
 from .errors import ConvergenceError, DomainError
-from .specfun import ModelParams, SpectralIndex, WhittakerIndex, whittaker_w_scaled
+from .specfun import ModelParams, WhittakerIndex, whittaker_w_scaled
 
 __all__ = [
     "QsdSolution",
-    "MomentSeries",
     "build_solution",
     "pdf",
     "cdf",
@@ -42,31 +41,18 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 @dataclass(frozen=True)
 class QsdSolution:
     """Handle through which all pdf/cdf/moment evaluation flows: model
-    parameters, the dominant spectral index, the normalization denominator
-    of the closed-form law, and the Whittaker indices W_{0,b}, W_{1,b},
-    W_{2,b} of the cdf, the pdf and the pdf's slope, built once so that
-    their factors cosh(b t_k) are computed once per law."""
+    parameters, the solver's eigenvalue and spectral index, the
+    normalization denominator of the closed-form law, and the Whittaker
+    indices W_{0,b}, W_{1,b}, W_{2,b} of the cdf, the pdf and the pdf's
+    slope, built once so that their factors cosh(b t_k) are computed once
+    per law."""
 
     params: ModelParams
-    se: SpectralIndex
+    se: EigenResult
     denom: float
-    eigen: EigenResult
     w0: WhittakerIndex
     w1: WhittakerIndex
     w2: WhittakerIndex
-
-
-@dataclass(frozen=True)
-class MomentSeries:
-    """Moments M_0..M_n of the quasi-stationary law, M_0 = 1."""
-
-    moments: tuple
-
-    def __getitem__(self, n: int) -> float:
-        return self.moments[n]
-
-    def __len__(self) -> int:
-        return len(self.moments)
 
 
 def normalization(params: ModelParams, w0: WhittakerIndex) -> float:
@@ -82,11 +68,9 @@ def normalization(params: ModelParams, w0: WhittakerIndex) -> float:
 
 def build_solution(params: ModelParams) -> QsdSolution:
     """Solve the eigenvalue problem and assemble the normalization."""
-    eig = dominant_eigenvalue(params)
-    se = SpectralIndex.from_lambda(eig.lam, params.mu)
+    se = dominant_eigenvalue(params)
     w0, w1, w2 = (WhittakerIndex(a, se.b) for a in (0, 1, 2))
-    return QsdSolution(params=params, se=se, denom=normalization(params, w0), eigen=eig,
-                       w0=w0, w1=w1, w2=w2)
+    return QsdSolution(params=params, se=se, denom=normalization(params, w0), w0=w0, w1=w1, w2=w2)
 
 
 def _density(x: float, sol: QsdSolution) -> float:
@@ -123,8 +107,8 @@ def cdf(x: float, sol: QsdSolution) -> float:
     return min(1.0, math.exp(-z) * w / sol.denom)
 
 
-def moments(sol: QsdSolution, n_max: int) -> MomentSeries:
-    """Moments by the forward recurrence
+def moments(sol: QsdSolution, n_max: int) -> tuple:
+    """Moments (M_0, ..., M_n_max) by the forward recurrence
 
         M_n [mu^2 n(n-1)/2 - lam] + n M_{n-1} = -lam A^n,  M_0 = 1.
 
@@ -149,7 +133,7 @@ def moments(sol: QsdSolution, n_max: int) -> MomentSeries:
     for n in range(1, n_max + 1):
         m = (-lam * A**n - n * ms[-1]) / (0.5 * mu2 * n * (n - 1) - lam)
         ms.append(m)
-    return MomentSeries(moments=tuple(ms))
+    return tuple(ms)
 
 
 def mean(sol: QsdSolution) -> float:

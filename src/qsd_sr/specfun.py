@@ -36,7 +36,6 @@ from .errors import DomainError
 
 __all__ = [
     "ModelParams",
-    "SpectralIndex",
     "WhittakerIndex",
     "gamma_cx",
     "whittaker_w",
@@ -74,33 +73,6 @@ class ModelParams:
     @property
     def mu2(self) -> float:
         return self.mu * self.mu
-
-
-@dataclass(frozen=True)
-class SpectralIndex:
-    """An eigenvalue ``lam <= 0`` together with ``xi = sqrt(1 + 8 lam/mu^2)``.
-
-    ``xi`` is real in [0, 1] when ``lam >= -mu^2/8`` and purely imaginary
-    otherwise; ``xi_squared`` is always real.  The second Whittaker index used
-    throughout is ``b = xi/2``.
-    """
-
-    lam: float
-    xi_squared: float
-    xi: complex
-
-    @classmethod
-    def from_lambda(cls, lam: float, mu: float) -> "SpectralIndex":
-        if lam > 0.0:
-            raise DomainError(f"eigenvalue must be nonpositive, got {lam}")
-        x2 = 1.0 + 8.0 * lam / (mu * mu)
-        xi = complex(math.sqrt(x2)) if x2 >= 0.0 else complex(0.0, math.sqrt(-x2))
-        return cls(lam=lam, xi_squared=x2, xi=xi)
-
-    @property
-    def b(self) -> complex:
-        """Second Whittaker index xi/2."""
-        return 0.5 * self.xi
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,15 @@ class TestGridCommands:
         assert captured.out == ""
         assert "below the checked domain" in captured.err
 
+    @pytest.mark.parametrize("command", ["table", "pdf", "cdf", "approx"])
+    def test_above_checked_domain_is_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--A", "1e10"])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "above the checked domain" in captured.err
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(capsys, "pdf", "--mu", "1.5", "--A", "50", "--grid", "333", "--out", str(f1))

@@ -7,7 +7,6 @@ from qsd_sr import (
     BracketError,
     DomainError,
     ModelParams,
-    SpectralIndex,
     WhittakerIndex,
     build_approx,
     build_solution,
@@ -67,8 +66,9 @@ class TestDominantEigenvalue:
 
     def test_bracket_containment(self):
         for mu, A in PARAM_SWEEP:
-            res = dominant_eigenvalue(ModelParams(mu=mu, A=A))
-            assert res.bracket.lo <= res.lam <= res.bracket.hi, (mu, A)
+            p = ModelParams(mu=mu, A=A)
+            br = eigen_bracket(p)
+            assert br.lo <= dominant_eigenvalue(p).lam <= br.hi, (mu, A)
 
     def test_drift_sign_invariance(self):
         for mu, A in PARAM_SWEEP:
@@ -82,16 +82,19 @@ class TestDominantEigenvalue:
 
 
 class TestScaling:
-    @pytest.mark.parametrize("mu", [0.3, 0.7, 1.7, 4.0, 13.0])
+    @pytest.mark.parametrize("mu", [0.3, 0.7, 1.7, 2.2, 4.0, 13.0])
     @pytest.mark.parametrize("c", [0.9, 3.3, 20.0, 77.7, 1e3, 1e5])
     def test_exact_in_c(self, mu, c):
         # lam(mu, A) = mu^2 lam(1, mu^2 A) holds bit for bit when the solve
-        # sees the same double c = mu^2 A
+        # sees the same double c = mu^2 A, and so do the law's index b and
+        # denominator D, formed from the solver's root s at c (lam / mu^2
+        # need not round back to lam(1, c))
         p = ModelParams(mu=mu, A=c / mu**2)
-        c2 = p.mu2 * p.A
-        res, ref = dominant_eigenvalue(p), dominant_eigenvalue(ModelParams(mu=1.0, A=c2))
-        assert res.lam == p.mu2 * ref.lam
-        assert res.iterations == ref.iterations
+        sol, ref = build_solution(p), build_solution(ModelParams(mu=1.0, A=p.mu2 * p.A))
+        assert sol.se.lam == p.mu2 * ref.se.lam
+        assert sol.se.iterations == ref.se.iterations
+        assert sol.w1.b == ref.w1.b
+        assert sol.denom == ref.denom
 
     # lam(1, c) to 20 digits in 50-digit arithmetic (mpmath)
     LARGE_C = {
@@ -152,11 +155,10 @@ class TestSharedTerms:
         ts, ws = terms = eigensolver._eigen_terms(p.mu2 * A)
         for f in (0.0, 0.3, 0.7, 1.0):
             lam = br.lo + (br.hi - br.lo) * f
-            se = SpectralIndex.from_lambda(lam, mu)
-            idx = WhittakerIndex(1, se.b)
+            idx = WhittakerIndex(1, eigensolver._index_b(lam, p.mu2))
             magnitude = sum(abs(w * x) for w, x in zip(ws, _cosh_bts(idx.b, ts)))
             ref = whittaker_w(idx, 2.0 / (p.mu2 * A))
-            got = eigensolver._eigen_equation(se.xi_squared, terms)
+            got = eigensolver._eigen_equation(1.0 + 8.0 * lam / p.mu2, terms)
             assert abs(got - ref) <= 1e-14 * magnitude, (lam, f)
 
 
@@ -164,6 +166,19 @@ class TestCheckedDomain:
     @pytest.mark.parametrize("mu", [1.0, 2.0])
     @pytest.mark.parametrize("c", [0.01, 0.12, 0.3, 0.49])
     def test_below_c_min_raises(self, mu, c):
+        p = ModelParams(mu=mu, A=c / mu**2)
+        with pytest.raises(DomainError):
+            dominant_eigenvalue(p)
+        with pytest.raises(DomainError):
+            build_solution(p)
+        for order in (1, 2, 3):
+            with pytest.raises(DomainError):
+                build_approx(p, order)
+
+    @pytest.mark.parametrize("mu", [1.0, 2.0])
+    @pytest.mark.parametrize("c", [1.000001e9, 1e10, 1e12])
+    def test_above_c_max_raises(self, mu, c):
+        # at c = 1e10 rounding noise gave three sign changes, at 1e12 none
         p = ModelParams(mu=mu, A=c / mu**2)
         with pytest.raises(DomainError):
             dominant_eigenvalue(p)
@@ -191,13 +206,13 @@ class TestEigenfunction:
     # phi(x, lam) = exp(z/2) z^-1 W_{1,b}(z), z = 2/(mu^2 x), constant fixed to 1
 
     @staticmethod
-    def phi(x, se, params):
-        return whittaker_w_scaled(WhittakerIndex(1, se.b), 2.0 / (params.mu2 * x))
+    def phi(x, b, params):
+        return whittaker_w_scaled(WhittakerIndex(1, b), 2.0 / (params.mu2 * x))
 
     def test_dirichlet_at_threshold(self, sol_mu1_A20, params_mu1_A20):
-        phi_a = self.phi(20.0, sol_mu1_A20.se, params_mu1_A20)
+        phi_a = self.phi(20.0, sol_mu1_A20.se.b, params_mu1_A20)
         grid_max = max(
-            self.phi(x, sol_mu1_A20.se, params_mu1_A20)
+            self.phi(x, sol_mu1_A20.se.b, params_mu1_A20)
             for x in [20.0 * k / 64 for k in range(1, 64)]
         )
         assert abs(phi_a) < 1e-9 * grid_max
@@ -205,12 +220,12 @@ class TestEigenfunction:
     def test_positive_inside(self, sol_mu1_A20, params_mu1_A20):
         for k in range(1, 400):
             x = 20.0 * k / 400.0
-            assert self.phi(x, sol_mu1_A20.se, params_mu1_A20) > 0.0, x
+            assert self.phi(x, sol_mu1_A20.se.b, params_mu1_A20) > 0.0, x
 
     def test_constant_at_lambda_zero(self, params_mu1_A20):
-        se0 = SpectralIndex.from_lambda(0.0, 1.0)
+        b0 = eigensolver._index_b(0.0, 1.0)
         vals = [
-            self.phi(x, se0, params_mu1_A20) for x in (1e-4, 0.1, 1.0, 10.0, 20.0)
+            self.phi(x, b0, params_mu1_A20) for x in (1e-4, 0.1, 1.0, 10.0, 20.0)
         ]
         for v in vals:
             assert v == pytest.approx(1.0, rel=1e-10)

@@ -17,7 +17,6 @@ from oracles import (
 from qsd_sr import (
     DomainError,
     ModelParams,
-    SpectralIndex,
     WhittakerIndex,
     exp_integral_e1,
     exp_scaled_e1,
@@ -29,6 +28,7 @@ from qsd_sr import (
     whittaker_w,
     whittaker_w_scaled,
 )
+from qsd_sr.eigensolver import _index_b
 from qsd_sr.specfun import (
     EULER_GAMMA,
     _LAGUERRE_RULE,
@@ -58,20 +58,12 @@ class TestTypes:
         with pytest.raises(DomainError):
             ModelParams(mu=1.0, A=-3.0)
 
-    def test_spectral_index_roundtrip(self):
-        for lam, mu in [(-0.0588, 1.0), (-0.4, 0.5), (-0.125, 1.0), (0.0, 2.0)]:
-            se = SpectralIndex.from_lambda(lam, mu)
-            # lam = mu^2 (xi^2 - 1) / 8 recovers the eigenvalue
-            assert mu * mu * (se.xi_squared - 1.0) / 8.0 == pytest.approx(lam, abs=1e-15)
-            assert se.xi_squared == pytest.approx(1.0 + 8.0 * lam / mu**2, rel=1e-15)
-            if se.xi_squared >= 0:
-                assert se.xi.imag == 0.0
-            else:
-                assert se.xi.real == 0.0
-
     def test_spectral_index_rejects_positive(self):
+        # b = xi(lam)/2 exists only for a nonpositive eigenvalue
+        for lam, mu2, b in [(0.0, 4.0, 0.5), (-0.125, 1.0, 0.0), (-0.3125, 0.25, 1.5j)]:
+            assert _index_b(lam, mu2) == b
         with pytest.raises(DomainError):
-            SpectralIndex.from_lambda(0.1, 1.0)
+            _index_b(0.1, 1.0)
 
     def test_whittaker_index_validation(self):
         WhittakerIndex(0, 0.25)
@@ -155,8 +147,8 @@ class TestWhittakerW:
 
     def test_eigen_equation_residual_reference_row(self):
         # the reference eigenvalue for mu=1, A=20 must zero W_{1,xi/2}(0.1)
-        se = SpectralIndex.from_lambda(-0.058856148622, 1.0)
-        assert abs(whittaker_w(WhittakerIndex(1, se.b), 0.1)) < 1e-9
+        b = _index_b(-0.058856148622, 1.0)
+        assert abs(whittaker_w(WhittakerIndex(1, b), 0.1)) < 1e-9
 
     def test_against_ode_integration(self):
         # independent oracle: inward integration of the defining ODE
