@@ -27,7 +27,7 @@ index-derivative identities at b = 1/2:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .eigensolver import _check_domain, _index_b
 from .errors import DomainError, ThresholdTooSmallError
@@ -41,6 +41,7 @@ from .specfun import (
 
 __all__ = [
     "ApproxSolution",
+    "approx_pdfs",
     "lambda_order1",
     "lambda_order2",
     "lambda_order3",
@@ -50,27 +51,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ApproxSolution:
+class ApproxSolution(namedtuple("ApproxSolution", "order lambda_approx params denom")):
     """Approximation order (1, 2 or 3), the corresponding approximate
-    eigenvalue, and the model parameters; exposes the approximate density."""
+    eigenvalue, the model parameters and the density's normalization."""
 
-    order: int
-    lambda_approx: float
-    params: ModelParams
-    denom: float
+    __slots__ = ()
 
     def pdf(self, x: float) -> float:
-        """Order-k density (2/(mu^2 x)) e^{-2/(mu^2 x)} {1/x + lam + ...} / D;
-        returns 0 outside (0, A), and exactly 0 at A, where the order-k
-        bracket vanishes by construction of lam_k.  Clamped at 0, which
-        rounding in the bracket undershoots just below A."""
-        A, mu2 = self.params.A, self.params.mu2
-        if x <= 0.0 or x >= A:
-            return 0.0
-        u = 2.0 / (mu2 * x)
-        pre = u * math.exp(-u) if u < 745.0 else 0.0
-        return max(0.0, pre * _bracket(self.order, x, self.lambda_approx, mu2) / self.denom)
+        """Order-k density at x; :func:`approx_pdfs` of this one solution."""
+        return approx_pdfs((self,), x)[0]
+
+
+def approx_pdfs(sols, x: float) -> list:
+    """The order-k densities (2/(mu^2 x)) e^{-2/(mu^2 x)} {1/x + lam + ...} / D
+    at x of ``sols``, approximate solutions of one model, with the expansion
+    kernels evaluated once, and only when some order is 2 or 3.  Each is 0
+    outside (0, A), and exactly 0 at A, where the order-k bracket vanishes
+    by construction of lam_k; clamped at 0, which rounding undershoots."""
+    if not sols or x <= 0.0 or x >= sols[0].params.A:
+        return [0.0] * len(sols)
+    mu2 = sols[0].params.mu2
+    u = 2.0 / (mu2 * x)
+    pre = u * math.exp(-u) if u < 745.0 else 0.0
+    kernels = None
+    out = []
+    for order, lam, _, denom in sols:
+        if order >= 2 and kernels is None:
+            kernels = _expansion_coefficients(u)
+        out.append(max(0.0, pre * _bracket(order, x, lam, mu2, kernels) / denom))
+    return out
 
 
 def _expansion_coefficients(u: float):
@@ -80,12 +89,12 @@ def _expansion_coefficients(u: float):
     return ell, gee - 2.0 * ell
 
 
-def _bracket(order: int, x: float, lam: float, mu2: float) -> float:
-    """{1/x + lam + (2/mu^2) L lam^2 + (2/mu^2)^2 [G - 2L] lam^3} at
-    u = 2/(mu^2 x), truncated after the lam^order term."""
+def _bracket(order: int, x: float, lam: float, mu2: float, kernels) -> float:
+    """{1/x + lam + (2/mu^2) L lam^2 + (2/mu^2)^2 [G - 2L] lam^3} truncated
+    after the lam^order term, ``kernels`` being (L, G - 2L) at u = 2/(mu^2 x)."""
     bracket = 1.0 / x + lam
     if order >= 2:
-        ell, cubic = _expansion_coefficients(2.0 / (mu2 * x))
+        ell, cubic = kernels
         bracket += 2.0 / mu2 * ell * lam * lam
         if order >= 3:
             bracket += (2.0 / mu2) ** 2 * cubic * lam**3
@@ -159,7 +168,8 @@ def whittaker_expansion3(x: float, lam: float, params: ModelParams) -> float:
     if not (x > 0.0):
         raise DomainError(f"expansion argument must be positive, got {x}")
     mu2 = params.mu2
-    return 2.0 / mu2 * math.exp(-1.0 / (mu2 * x)) * _bracket(3, x, lam, mu2)
+    kernels = _expansion_coefficients(2.0 / (mu2 * x))
+    return 2.0 / mu2 * math.exp(-1.0 / (mu2 * x)) * _bracket(3, x, lam, mu2, kernels)
 
 
 def index_derivative_identity(k: int, x: float) -> float:

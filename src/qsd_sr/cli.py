@@ -20,7 +20,6 @@ Exit codes: 0 success, 1 computational failure, 2 validation mismatch,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -57,6 +56,7 @@ def _emit(text, out_path):
 
 def _write_table(columns, rows, fmt, out_path, warnings=()):
     if fmt == "json":
+        import json
         doc = {"columns": list(columns), "rows": [[float(v) for v in r] for r in rows]}
         if warnings:
             doc["warnings"] = list(warnings)
@@ -80,6 +80,7 @@ def cmd_table(args) -> int:
     columns = ["A", "neg_lambda", "neg_lambda_order1", "neg_lambda_order2",
                "neg_lambda_order3"]
     if args.format == "json":
+        import json
         doc = {"columns": columns,
                "rows": [[r[0]] + [None if math.isnan(v) else round(v, 12) for v in r[1:]]
                         for r in rows]}
@@ -111,22 +112,19 @@ def cmd_approx(args) -> int:
     params = args.params[0]
     sol = qsd.build_solution(params)
     orders = (args.order,) if args.order else (1, 2, 3)
-    approx = {}
+    approx = []
     warnings = []
     for k in orders:
         try:
-            approx[k] = asymptotics.build_approx(params, k)
+            approx.append(asymptotics.build_approx(params, k))
         except ThresholdTooSmallError as exc:
             warnings.append(f"order-{k} approximation unavailable: {exc}")
-    columns = ["x", "q"]
-    for k in sorted(approx):
-        columns.append(f"q_approx{k}")
-    for k in sorted(approx):
-        columns.append(f"abs_err{k}")
+    columns = ["x", "q", *(f"q_approx{a.order}" for a in approx),
+               *(f"abs_err{a.order}" for a in approx)]
     rows = []
     for x in args.xs:
         q = qsd.pdf(x, sol)
-        qa = [approx[k].pdf(x) for k in sorted(approx)]
+        qa = asymptotics.approx_pdfs(approx, x)
         rows.append((x, q, *qa, *[abs(q - v) for v in qa]))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -135,6 +133,7 @@ def cmd_approx(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    import json
     skip = set(args.skip or ())
     checks = []
     for group, suite in SUITES.items():

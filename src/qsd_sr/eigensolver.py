@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .errors import AmbiguousRootError, BracketError, DomainError
@@ -51,25 +51,19 @@ C_MIN = 0.5
 C_MAX = 1e9
 
 
-@dataclass(frozen=True)
-class EigenBracket:
+class EigenBracket(namedtuple("EigenBracket", "lo hi")):
     """Closed-form bounds -1/A - (1 +- sqrt(4 mu^2 A + 1))/(2 mu^2 A^2)."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(namedtuple("EigenResult", "lam b residual iterations")):
     """The dominant eigenvalue lam and its second Whittaker index
     b = xi(lam)/2, both formed from the solver's root s = xi^2, so the law
     depends on (mu, A) only through c = mu^2 A; plus the residual |W| at the
     root and the count of equation evaluations."""
 
-    lam: float
-    b: complex
-    residual: float
-    iterations: int
+    __slots__ = ()
 
 
 def _s_bracket(c: float) -> tuple:

@@ -21,7 +21,7 @@ Everything here needs numpy and nothing else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from numbers import Integral
 
 import numpy as np
@@ -58,25 +58,19 @@ _LEFT_EXPONENT_CAP = 80.0
 MC_BLOCK = 2**18
 
 
-@dataclass(frozen=True)
-class GridSolution:
+class GridSolution(namedtuple("GridSolution", "grid lambda_hat q_hat")):
     """Discretized eigenpair: abscissae, eigenvalue estimate, and the
     normalized density values m(x) phi(x) / integral."""
 
-    grid: np.ndarray
-    lambda_hat: float
-    q_hat: np.ndarray
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EmpiricalLaw:
+class EmpiricalLaw(namedtuple("EmpiricalLaw", "samples n_survivors n_paths_total")):
     """The surviving simulated paths at the horizon, conditional on
     survival: their sorted values (for ECDF/KS use) and how many of the
     paths survived."""
 
-    samples: np.ndarray
-    n_survivors: int
-    n_paths_total: int
+    __slots__ = ()
 
 
 def _cr_factor(d, e):

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .eigensolver import EigenResult, _polish, dominant_eigenvalue
+from .eigensolver import _polish, dominant_eigenvalue
 from .errors import ConvergenceError, DomainError
 from .specfun import ModelParams, WhittakerIndex, whittaker_w_scaled
 
@@ -38,8 +38,7 @@ MAX_MOMENT_ORDER = 50
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class QsdSolution:
+class QsdSolution(namedtuple("QsdSolution", "params se denom w0 w1 w2")):
     """Handle through which all pdf/cdf/moment evaluation flows: model
     parameters, the solver's eigenvalue and spectral index, the
     normalization denominator of the closed-form law, and the Whittaker
@@ -47,12 +46,7 @@ class QsdSolution:
     slope, built once so that their factors cosh(b t_k) are computed once
     per law."""
 
-    params: ModelParams
-    se: EigenResult
-    denom: float
-    w0: WhittakerIndex
-    w1: WhittakerIndex
-    w2: WhittakerIndex
+    __slots__ = ()
 
 
 def normalization(params: ModelParams, w0: WhittakerIndex) -> float:
@@ -75,12 +69,13 @@ def build_solution(params: ModelParams) -> QsdSolution:
 
 def _density(x: float, sol: QsdSolution) -> float:
     # the closed form at 0 < x <= A, unclamped
-    z = 2.0 / (sol.params.mu2 * x)
+    mu2 = sol.params.mu2
+    z = 2.0 / (mu2 * x)
     if z > 1400.0:
         return 0.0
     # (1/x) e^{-z/2} W_1(z) = (mu^2 z^2 / 2) e^{-z} * scaled W
     w = whittaker_w_scaled(sol.w1, z)
-    return 0.5 * sol.params.mu2 * z * z * math.exp(-z) * w / sol.denom
+    return 0.5 * mu2 * z * z * math.exp(-z) * w / sol.denom
 
 
 def pdf(x: float, sol: QsdSolution) -> float:
@@ -116,8 +111,9 @@ def moments(sol: QsdSolution, n_max: int) -> tuple:
     has no singularity; growth M_n ~ A^n caps the order at 50, and at the
     largest n with A^n finite when that is lower.
     """
-    if n_max < 0:
-        raise DomainError(f"moment order must be nonnegative, got {n_max}")
+    from numbers import Integral  # here, not at import: the CLI never needs it
+    if not (isinstance(n_max, Integral) and n_max >= 0):
+        raise DomainError(f"moment order must be a nonnegative integer, got {n_max}")
     if n_max > MAX_MOMENT_ORDER:
         raise DomainError(
             f"moment order {n_max} exceeds cap {MAX_MOMENT_ORDER} (A^n overflow guard)"

@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import repeat
 from operator import mul
@@ -55,54 +55,57 @@ EULER_GAMMA = 0.5772156649015328606
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", "mu A")):
     """Model parameters: post-change drift ``mu`` (nonzero) and detection
     threshold ``A`` (positive).  Every formula in the package depends on the
     drift only through ``mu**2``."""
 
-    mu: float
-    A: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.mu != 0.0 and math.isfinite(self.mu)):
-            raise DomainError(f"drift mu must be finite and nonzero, got {self.mu}")
-        if not (self.A > 0.0 and math.isfinite(self.A)):
-            raise DomainError(f"threshold A must be finite and positive, got {self.A}")
+    def __new__(cls, mu: float, A: float):
+        if not (mu != 0.0 and math.isfinite(mu)):
+            raise DomainError(f"drift mu must be finite and nonzero, got {mu}")
+        if not (A > 0.0 and math.isfinite(A)):
+            raise DomainError(f"threshold A must be finite and positive, got {A}")
+        return super().__new__(cls, mu, A)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     @property
     def mu2(self) -> float:
         return self.mu * self.mu
 
 
-@dataclass(frozen=True)
-class WhittakerIndex:
+class WhittakerIndex(namedtuple("WhittakerIndex", "a b")):
     """Index pair (a, b) of the Whittaker W function as used here.
 
     ``a`` is restricted to {0, 1, 2}.  ``b`` is real in [-0.55, 0.55] or
-    purely imaginary.  The eigenvalue machinery only ever produces real b in
-    [0, 1/2]; the symmetric margin exists so that b-sign symmetry checks and
-    centered index-derivative probes at b = 1/2 remain expressible.
+    purely imaginary and finite.  The eigenvalue machinery only ever produces
+    real b in [0, 1/2]; the symmetric margin exists so that b-sign symmetry
+    checks and centered index-derivative probes at b = 1/2 remain expressible.
     """
 
-    a: int
-    b: complex
+    # no __slots__: the instance __dict__ holds the cached _cosh_bt
 
-    def __post_init__(self):
-        if self.a not in (0, 1, 2):
-            raise DomainError(f"first Whittaker index must be 0, 1 or 2, got {self.a}")
-        b = complex(self.b)
+    def __new__(cls, a: int, b: complex):
+        if a not in (0, 1, 2):
+            raise DomainError(f"first Whittaker index must be 0, 1 or 2, got {a}")
+        b = complex(b)
+        if not (math.isfinite(b.real) and math.isfinite(b.imag)):
+            raise DomainError(f"second Whittaker index must be finite, got {b}")
         if b.real != 0.0 and b.imag != 0.0:
             raise DomainError(f"second Whittaker index must be real or purely imaginary, got {b}")
         if b.imag == 0.0 and not (abs(b.real) <= _RB_MAX):
             raise DomainError(f"real second index must lie in [-{_RB_MAX}, {_RB_MAX}], got {b.real}")
-        object.__setattr__(self, "b", b)
+        return super().__new__(cls, a, b)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     @cached_property
     def _cosh_bt(self) -> tuple:
         """cosh(b t_k) on the first _N_ROW fixed-step nodes, computed on the
-        first evaluation at x <= _X_FIXED and kept; not a dataclass field,
-        so ``==``, ``hash`` and ``repr`` ignore it."""
+        first evaluation at x <= _X_FIXED and kept in the instance dict, not
+        in the tuple, so ``==``, ``hash`` and ``repr`` ignore it."""
         return tuple(_cosh_bts(self.b, _T[:_N_ROW]))
 
 
@@ -238,25 +241,26 @@ def whittaker_w_scaled(idx: WhittakerIndex, z: float) -> float:
     integrand (Trefethen and Weideman, SIAM Review 56(3), 2014).  The result
     tends to 1 as z -> +inf.
     """
+    a, b = idx
     x, h, n, ts, v = _grid(z)
     if x <= _X_FIXED:
         cb = idx._cosh_bt
         if n > _N_ROW:
-            cb += tuple(_cosh_bts(idx.b, ts[_N_ROW:n]))
+            cb += tuple(_cosh_bts(b, ts[_N_ROW:n]))
     else:
-        cb = _cosh_bts(idx.b, ts)
+        cb = _cosh_bts(b, ts)
     # the terms of K_b: cosh(b t_k) exp(-x (cosh t_k - 1))
     e = list(map(mul, cb, map(math.exp, map(mul, repeat(x, n), v))))
     # p_a(s_k) = c0 - c1 x v_k + c2 (x v_k)^2 at s_k = z - x v_k; the node
     # t = 0 has half weight
-    c0, c1, c2 = _taylor(idx.a, z)
+    c0, c1, c2 = _taylor(a, z)
     acc = c0 * (0.5 + sum(e))
-    if idx.a:
+    if a:
         ev = list(map(mul, e, v))
         acc -= c1 * x * sum(ev)
-        if idx.a == 2:
+        if a == 2:
             acc += c2 * x * x * sum(map(mul, ev, v))
-    return z ** (0.5 - idx.a) * h / _SQRT_PI * acc
+    return z ** (0.5 - a) * h / _SQRT_PI * acc
 
 
 def _w_terms(a: int, z: float) -> tuple:

@@ -21,6 +21,7 @@ from qsd_sr import (
     whittaker_expansion3,
     whittaker_w,
 )
+from qsd_sr.asymptotics import approx_pdfs
 from qsd_sr.eigensolver import _index_b
 
 
@@ -208,6 +209,24 @@ class TestPdfApprox:
                     expect = (math.exp(-1.0 / (mu**2 * x)) / x
                               * whittaker_expansion3(x, ap.lambda_approx, p))
                     assert ap.pdf(x) * ap.denom == pytest.approx(expect, rel=1e-13), (mu, A, x)
+
+    @pytest.mark.parametrize("mu,A", [(1.1, 40.0), (1.0, 3.0)])
+    def test_shared_expansion_equals_each_order(self, mu, A):
+        # one expansion per x for every order gives each order's own density
+        # bit for bit; at (1, 3) order 2 does not exist and order 3 does
+        p = ModelParams(mu=mu, A=A)
+        sols = []
+        for order in (1, 2, 3):
+            try:
+                sols.append(build_approx(p, order))
+            except ThresholdTooSmallError:
+                assert (A, order) == (3.0, 2)
+        assert [s.order for s in sols] == ([1, 3] if A == 3.0 else [1, 2, 3])
+        xs = [A * i / 999 for i in range(1000)]  # the CLI's default grid
+        xs += [-1.0, A, 1.5 * A, 1e-3]  # at x = 1e-3, u = 2/(mu^2 x) >= 745
+        for x in xs:
+            assert approx_pdfs(sols, x) == [s.pdf(x) for s in sols], x
+        assert approx_pdfs([], 1.0) == []
 
     def test_order_validation(self):
         with pytest.raises(DomainError):

@@ -139,6 +139,18 @@ class TestGridCommands:
         assert "warning: order-2 approximation unavailable" in err
         assert out.split("\n")[0] == "x,q,q_approx1,q_approx3,abs_err1,abs_err3"
 
+    def test_approx_columns_match_single_order_runs(self, capsys):
+        # all orders share one expansion per x, and each column is written
+        # exactly as a run of its order alone writes it
+        _, out, _ = run_cli(capsys, "approx", "--mu", "1.1", "--A", "40")
+        rows = [l.split(",") for l in out.strip().split("\n")]
+        for k in (1, 2, 3):
+            _, single, _ = run_cli(capsys, "approx", "--mu", "1.1", "--A", "40", "--order", str(k))
+            single_rows = [l.split(",") for l in single.strip().split("\n")]
+            assert single_rows[0][2] == f"q_approx{k}"
+            col = rows[0].index(f"q_approx{k}")
+            assert [r[col] for r in rows] == [r[2] for r in single_rows], k
+
     def test_mode_ordering_across_drifts(self, capsys):
         # larger drift pushes the bulk of the law toward the origin
         modes = []

@@ -1,6 +1,7 @@
 """The package never needs scipy, and the core needs no numpy at import:
 every command, ``validate --skip mc`` included, and the oracles run with
-scipy blocked; the oracle names load on first access."""
+scipy blocked; the oracle names load on first access.  The import and the
+CSV commands load none of dataclasses, inspect or json either."""
 
 import os
 import subprocess
@@ -15,12 +16,34 @@ from qsd_sr import oracle
 SRC = str(Path(qsd_sr.__file__).resolve().parents[1])
 
 
-def run_without_scipy(code):
-    """Run ``code`` in a fresh interpreter in which ``import scipy`` fails."""
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports the package from SRC."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
-    script = "import sys\nsys.modules['scipy'] = None\n" + code
     return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def run_without_scipy(code):
+    """Run ``code`` in a fresh interpreter in which ``import scipy`` fails."""
+    return run_fresh("import sys\nsys.modules['scipy'] = None\n" + code)
+
+
+def test_cold_start_loads_no_unneeded_module():
+    # modules are counted from after start-up, since site hooks may preload some
+    proc = run_fresh(
+        "import os, sys\n"
+        "before = set(sys.modules)\n"
+        "import qsd_sr\n"
+        "added = set(sys.modules) - before\n"
+        "assert not added & {'dataclasses', 'inspect', 'json'}, sorted(added)\n"
+        "from qsd_sr.cli import main\n"
+        "for argv in (['table'], ['pdf', '--grid', '50'], ['cdf', '--grid', '50'],\n"
+        "             ['approx', '--grid', '50']):\n"
+        "    assert main(argv + ['--out', os.devnull]) == 0, argv\n"
+        "added = set(sys.modules) - before\n"
+        "assert not added & {'dataclasses', 'inspect', 'json', 'numpy'}, sorted(added)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_import_loads_neither_scipy_nor_numpy():

@@ -232,6 +232,8 @@ class TestMoments:
             moments(sol_mu1_A20, 51)
         with pytest.raises(DomainError):
             moments(sol_mu1_A20, -1)
+        with pytest.raises(DomainError):  # was a bare TypeError from range
+            moments(sol_mu1_A20, 2.5)
 
 
 class TestMode:

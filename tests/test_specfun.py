@@ -15,8 +15,14 @@ from oracles import (
     whittaker_ode_value,
 )
 from qsd_sr import (
+    ApproxSolution,
     DomainError,
+    EigenBracket,
+    EigenResult,
+    EmpiricalLaw,
+    GridSolution,
     ModelParams,
+    QsdSolution,
     WhittakerIndex,
     exp_integral_e1,
     exp_scaled_e1,
@@ -57,6 +63,9 @@ class TestTypes:
             ModelParams(mu=1.0, A=0.0)
         with pytest.raises(DomainError):
             ModelParams(mu=1.0, A=-3.0)
+        assert ModelParams(1.0, 20.0)._replace(A=5.0) == ModelParams(1.0, 5.0)
+        with pytest.raises(DomainError):
+            ModelParams(1.0, 20.0)._replace(mu=0.0)
 
     def test_spectral_index_rejects_positive(self):
         # b = xi(lam)/2 exists only for a nonpositive eigenvalue
@@ -75,6 +84,49 @@ class TestTypes:
             WhittakerIndex(1, 0.3 + 0.3j)
         with pytest.raises(DomainError):
             WhittakerIndex(1, 0.9)
+        # a non-finite imaginary part gave nan, or a bare math domain error,
+        # only once the index was evaluated
+        for b in (complex(0.0, math.nan), complex(0.0, math.inf)):
+            with pytest.raises(DomainError):
+                WhittakerIndex(1, b)
+        with pytest.raises(DomainError):
+            WhittakerIndex(1, 0.3)._replace(b=0.9)
+
+    # every result record but WhittakerIndex (see TestIndexReuse): its
+    # fields in order, and its repr
+    RECORDS = [
+        (ModelParams, {"mu": 1.0, "A": 20.0}, "ModelParams(mu=1.0, A=20.0)"),
+        (EigenBracket, {"lo": -0.0625, "hi": -0.05}, "EigenBracket(lo=-0.0625, hi=-0.05)"),
+        (EigenResult, {"lam": -0.0625, "b": 0.25j, "residual": 1e-17, "iterations": 80},
+         "EigenResult(lam=-0.0625, b=0.25j, residual=1e-17, iterations=80)"),
+        (QsdSolution,
+         {"params": ModelParams(1.0, 3.0), "se": EigenResult(-0.25, 0.5j, 0.0, 70),
+          "denom": 0.5, "w0": WhittakerIndex(0, 0.5j), "w1": WhittakerIndex(1, 0.5j),
+          "w2": WhittakerIndex(2, 0.5j)},
+         "QsdSolution(params=ModelParams(mu=1.0, A=3.0), se=EigenResult(lam=-0.25, b=0.5j, "
+         "residual=0.0, iterations=70), denom=0.5, w0=WhittakerIndex(a=0, b=0.5j), "
+         "w1=WhittakerIndex(a=1, b=0.5j), w2=WhittakerIndex(a=2, b=0.5j))"),
+        (ApproxSolution,
+         {"order": 2, "lambda_approx": -0.05, "params": ModelParams(1.0, 20.0), "denom": 0.75},
+         "ApproxSolution(order=2, lambda_approx=-0.05, params=ModelParams(mu=1.0, A=20.0), "
+         "denom=0.75)"),
+        (GridSolution, {"grid": (0.5, 1.0), "lambda_hat": -0.125, "q_hat": (0.25, 0.0)},
+         "GridSolution(grid=(0.5, 1.0), lambda_hat=-0.125, q_hat=(0.25, 0.0))"),
+        (EmpiricalLaw, {"samples": (0.5, 2.0), "n_survivors": 2, "n_paths_total": 5},
+         "EmpiricalLaw(samples=(0.5, 2.0), n_survivors=2, n_paths_total=5)"),
+    ]
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+    def test_record_contract(self, cls, fields, text):
+        values = tuple(fields.values())
+        by_name, by_position = cls(**fields), cls(*values)
+        assert repr(by_name) == repr(by_position) == text
+        assert by_name == by_position == values
+        assert hash(by_name) == hash(by_position) == hash(values)
+        for name, value in fields.items():
+            assert getattr(by_name, name) is value
+            with pytest.raises(AttributeError):
+                setattr(by_name, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +332,11 @@ class TestIndexReuse:
         assert (repr(idx), hash(idx)) == before
         assert repr(idx) == "WhittakerIndex(a=1, b=(0.3+0j))"
         assert idx == WhittakerIndex(1, 0.3) and hash(idx) == hash(WhittakerIndex(1, 0.3))
+        assert idx == WhittakerIndex(a=1, b=0.3) == (1, 0.3 + 0j)
         assert idx != WhittakerIndex(1, 0.31)
+        for name in ("a", "b"):
+            with pytest.raises(AttributeError):
+                setattr(idx, name, 0)
 
     def test_zero_index_builds_and_evaluates(self):
         for a in (0, 1, 2):
