@@ -174,7 +174,7 @@ def whittaker_expansion3(x: float, lam: float, params: ModelParams) -> float:
 
 def index_derivative_identity(k: int, x: float) -> float:
     """Closed form of the k-th derivative of W_{1,b}(x) in b at b = 1/2."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"argument must be positive, got {x}")
     if k == 1:
         return math.exp(-0.5 * x)

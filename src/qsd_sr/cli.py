@@ -13,6 +13,10 @@ point) or JSON; numbers carry 17 significant digits so artifacts re-parse to
 the emitted values.  Identical configurations (including seeds) produce
 byte-identical output.
 
+validate runs every check at the fixed settings of qsd_sr.checks (golden
+tolerances, Monte-Carlo seed, paths, step and horizon): it can skip a suite
+but not change what a check means.
+
 Exit codes: 0 success, 1 computational failure, 2 validation mismatch,
 64 usage error.
 """
@@ -24,8 +28,8 @@ import math
 import sys
 
 from . import asymptotics, qsd
-from .checks import (MC_HEADSTART, MC_PARAMS, REFERENCE_TABLE, SUITES, golden_comparison,
-                     neg_lambda_row)
+from .checks import (GOLDEN_TOL, MC_DT, MC_HORIZON, MC_PATHS, MC_SEED, REFERENCE_TABLE, SUITES,
+                     golden_comparison, neg_lambda_row)
 from .eigensolver import _check_domain
 from .errors import DomainError, QsdError, ThresholdTooSmallError
 from .specfun import ModelParams
@@ -75,7 +79,7 @@ def cmd_table(args) -> int:
         row = neg_lambda_row(p)
         rows.append((p.A, *row))
         golden = golden_comparison(p, row)
-        if golden and golden[0][1] > args.tol:
+        if golden and golden[0][1] > GOLDEN_TOL[0]:
             mismatches.append((p.A, row[0], golden[0][0]))
     columns = ["A", "neg_lambda", "neg_lambda_order1", "neg_lambda_order2",
                "neg_lambda_order3"]
@@ -141,9 +145,10 @@ def cmd_validate(args) -> int:
             checks.append({"name": group, "group": group, "status": "skipped", "residual": None,
                            "tolerance": None, "detail": "skipped by request"})
         else:
-            checks.extend(suite(args))
+            checks.extend(suite())
     failed = [c for c in checks if c["status"] == "fail"]
-    config = {k: getattr(args, k) for k in ("tol", "paths", "dt", "horizon", "seed")}
+    config = {"tol": GOLDEN_TOL[0], "paths": MC_PATHS, "dt": MC_DT, "horizon": MC_HORIZON,
+              "seed": MC_SEED}
     report = {"config": {**config, "skip": sorted(skip)}, "checks": checks, "n_failed": len(failed)}
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     for c in failed:
@@ -165,18 +170,12 @@ def _add_common(sp, model=True):
     sp.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
 
 
-def _add_golden_tol(sp):
-    sp.add_argument("--tol", type=float, default=1e-10,
-                    help="largest accepted deviation of the eigenvalue from the golden table")
-
-
 def build_parser() -> _Parser:
     ap = _Parser(prog="qsd-sr", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("table", help="eigenvalue table with order-1/2/3 approximations")
     _add_common(t)
-    _add_golden_tol(t)
     t.set_defaults(fn=cmd_table, default_A=tuple(REFERENCE_TABLE))
 
     for name, fn in (("pdf", cmd_law), ("cdf", cmd_law), ("approx", cmd_approx)):
@@ -192,13 +191,8 @@ def build_parser() -> _Parser:
 
     v = sub.add_parser("validate", help="run verification suites")
     _add_common(v, model=False)
-    _add_golden_tol(v)
     v.add_argument("--skip", action="append", choices=tuple(SUITES),
                    help="suite to skip (repeatable)")
-    v.add_argument("--seed", type=int, default=20260810)
-    v.add_argument("--paths", type=int, default=200000)
-    v.add_argument("--dt", type=float, default=1e-3)
-    v.add_argument("--horizon", type=float, default=18.0)
     v.set_defaults(fn=cmd_validate)
     return ap
 
@@ -207,22 +201,16 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     grid = "grid" in args
-    if "tol" in args and not (args.tol >= 0.0 and math.isfinite(args.tol)):
-        ap.error(f"--tol must be a nonnegative finite number, got {args.tol}")
-    try:
-        if "mu" in args:  # every command but validate
-            thresholds = args.A or args.default_A
-            if grid and len(thresholds) > 1:
-                ap.error(f"--A may be given only once for {args.command}")
+    if "mu" in args:  # every command but validate
+        thresholds = args.A or args.default_A
+        if grid and len(thresholds) > 1:
+            ap.error(f"--A may be given only once for {args.command}")
+        try:
             args.params = [ModelParams(mu=args.mu, A=a) for a in thresholds]
             for p in args.params:
                 _check_domain(p)
-        else:
-            from .oracle import _check_mc_args
-
-            _check_mc_args(MC_PARAMS, MC_HEADSTART, args.dt, args.horizon, args.paths, args.seed)
-    except DomainError as exc:
-        ap.error(str(exc))
+        except DomainError as exc:
+            ap.error(str(exc))
     if grid:
         xmin = 0.0 if args.xmin is None else args.xmin
         xmax = args.params[0].A if args.xmax is None else args.xmax

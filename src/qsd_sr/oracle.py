@@ -154,8 +154,8 @@ def sturm_liouville_eigen(params: ModelParams, n_grid: int) -> GridSolution:
     from the generalized Rayleigh quotient of the converged vector, which is
     accurate to the square of the vector's error.
     """
-    if n_grid < 100:
-        raise DomainError(f"n_grid must be at least 100, got {n_grid}")
+    if not (isinstance(n_grid, Integral) and n_grid >= 100):
+        raise DomainError(f"n_grid must be an integer of at least 100, got {n_grid!r}")
     mu2, A = params.mu2, params.A
     i = np.arange(1, n_grid + 1, dtype=float)
     x = A * (i / n_grid) ** 2
@@ -199,17 +199,6 @@ def sturm_liouville_eigen(params: ModelParams, n_grid: int) -> GridSolution:
     return GridSolution(grid=grid, lambda_hat=lam_hat, q_hat=q_hat)
 
 
-def _check_mc_args(params, r, dt, T, n_paths, seed) -> int:
-    """Raise DomainError for arguments simulate_killed_sr cannot run; else return n_steps."""
-    if not (0.0 <= r < params.A):
-        raise DomainError(f"headstart must lie in [0, A), got {r}")
-    if not (0.0 < dt and 10.0 * dt < T and math.isfinite(T / dt)):
-        raise DomainError(f"need finite dt > 0 and horizon T > 10 dt, got dt={dt}, T={T}")
-    if not all(isinstance(v, Integral) for v in (n_paths, seed)) or n_paths < 1 or seed < 0:
-        raise DomainError(f"need integers n_paths >= 1 and seed >= 0, got {n_paths!r}, {seed!r}")
-    return int(round(T / dt))
-
-
 def _survivors(rng, params, r, dt, n_paths, n_steps):
     """All paths advance as one float32 array R on the normals of ``rng``,
     drawn k = MC_BLOCK // R.size steps at a time; a running maximum kills at
@@ -250,7 +239,13 @@ def simulate_killed_sr(
     of MC_BLOCK normals, so the result is reproducible bit-for-bit for a
     given seed.
     """
-    n_steps = _check_mc_args(params, r, dt, T, n_paths, seed)
+    if not (0.0 <= r < params.A):
+        raise DomainError(f"headstart must lie in [0, A), got {r}")
+    if not (0.0 < dt and 10.0 * dt < T and math.isfinite(T / dt)):
+        raise DomainError(f"need finite dt > 0 and horizon T > 10 dt, got dt={dt}, T={T}")
+    if not all(isinstance(v, Integral) for v in (n_paths, seed)) or n_paths < 1 or seed < 0:
+        raise DomainError(f"need integers n_paths >= 1 and seed >= 0, got {n_paths!r}, {seed!r}")
+    n_steps = int(round(T / dt))
     survivors = _survivors(np.random.default_rng(seed), params, r, dt, n_paths, n_steps)
     if survivors.size == 0:
         raise NoSurvivorsError(
@@ -356,7 +351,10 @@ def index_derivative_check(k: int, x: float) -> float:
     return abs(numeric - closed) / abs(closed)
 
 
-def norm_identity_check(params: ModelParams, se: EigenResult, h_scale: float = 1e-6) -> float:
+NORM_FD_STEP = 1e-6  # the norm identity's difference step, relative to lam and z_A
+
+
+def norm_identity_check(params: ModelParams, se: EigenResult) -> float:
     """Relative residual of the eigenfunction-norm identity
 
         int_0^A m(x) phi(x, lam)^2 dx
@@ -366,7 +364,7 @@ def norm_identity_check(params: ModelParams, se: EigenResult, h_scale: float = 1
     mu^2/2 factor is the Jacobian of the substitution u = 2/(mu^2 x); its
     presence is cross-validated by the implicit-differentiation identity
     d(lam)/dA = (2/(mu^2 A^2)) (dW/du) / (dW/dlam).  Both derivative factors
-    are centered finite differences with step ``h_scale`` times the natural
+    are centered finite differences with step NORM_FD_STEP times the natural
     scale of each variable."""
     mu2, A = params.mu2, params.A
     z_a = 2.0 / (mu2 * A)
@@ -385,10 +383,10 @@ def norm_identity_check(params: ModelParams, se: EigenResult, h_scale: float = 1
     def w_of_lambda(lam):
         return whittaker_w(WhittakerIndex(1, _index_b(lam, mu2)), z_a)
 
-    h_lam = h_scale * max(abs(se.lam), 1e-3)
+    h_lam = NORM_FD_STEP * max(abs(se.lam), 1e-3)
     d_lam = (w_of_lambda(se.lam + h_lam) - w_of_lambda(se.lam - h_lam)) / (2.0 * h_lam)
 
-    h_u = h_scale * z_a
+    h_u = NORM_FD_STEP * z_a
     d_u = (whittaker_w(idx, z_a + h_u) - whittaker_w(idx, z_a - h_u)) / (2.0 * h_u)
 
     rhs = 0.5 * mu2 * d_lam * d_u

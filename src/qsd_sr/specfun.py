@@ -455,6 +455,8 @@ def speed_density(x: float, params: ModelParams) -> float:
     This is also the stationary density of the unstopped diffusion (a
     Frechet-type law with mode at 1/mu^2).  Extended by 0 for x <= 0.
     """
+    if math.isnan(x):
+        raise DomainError("argument must not be nan")
     if x <= 0.0:
         return 0.0
     t = -2.0 / (params.mu2 * x)
@@ -466,6 +468,8 @@ def speed_density(x: float, params: ModelParams) -> float:
 def stationary_cdf(x: float, params: ModelParams) -> float:
     """Stationary cdf ``H(x) = exp(-2/(mu^2 x))``, the exact antiderivative
     of :func:`speed_density` vanishing at 0."""
+    if math.isnan(x):
+        raise DomainError("argument must not be nan")
     if x <= 0.0:
         return 0.0
     t = -2.0 / (params.mu2 * x)

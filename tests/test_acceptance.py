@@ -30,12 +30,10 @@ from qsd_sr import (
     whittaker_w,
 )
 from qsd_sr.checks import SUITES
-from qsd_sr.cli import build_parser
 from qsd_sr.eigensolver import _index_b
 
 GRID_POINTS = 10_000
 EXACT_LAW_SWEEP = [(mu, A) for mu in (0.5, 1.0, 1.5) for A in (5.0, 20.0, 100.0)]
-VALIDATE_ARGS = build_parser().parse_args(["validate"])  # validate's defaults
 
 
 def report(criterion, failures, elapsed, budget, detail=""):
@@ -48,7 +46,7 @@ def report(criterion, failures, elapsed, budget, detail=""):
 def registry_failures(group, names, tol):
     """Run the registry's ``group`` suite and hold the residuals and the
     tolerances of its checks ``names`` to ``tol``: (failures, worst residual)."""
-    checks = {c["name"]: c for c in SUITES[group](VALIDATE_ARGS)}
+    checks = {c["name"]: c for c in SUITES[group]()}
     found = [checks.get(n, {"name": n, "residual": np.nan, "tolerance": np.nan}) for n in names]
     failures = [f"{c['name']}: residual {c['residual']:.3e}, registry tolerance "
                 f"{c['tolerance']:g}, limit {tol:g}"

@@ -149,6 +149,8 @@ class TestIndexDerivatives:
             index_derivative_identity(4, 1.0)
         with pytest.raises(DomainError):
             index_derivative_identity(1, -1.0)
+        with pytest.raises(DomainError):
+            index_derivative_identity(1, math.nan)
 
 
 class TestPdfApprox:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qsd_sr import checks
 from qsd_sr.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -38,17 +39,17 @@ class TestTable:
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "0.000100139278"
 
-    def test_impossible_tolerance(self, capsys):
-        # lam depends on mu^2 alone, so mu = -1 is held to the mu = 1 table
+    def test_impossible_tolerance(self, capsys, monkeypatch):
+        # a golden eigenvalue moved by 1e-8, 100 times GOLDEN_TOL[0]; lam
+        # depends on mu^2 alone, so mu = -1 is held to the mu = 1 table
+        ref = checks.REFERENCE_TABLE[20]
+        monkeypatch.setitem(checks.REFERENCE_TABLE, 20,
+                            (f"{float(ref[0]) + 1e-8:.12f}", *ref[1:]))
         for mu in ("1", "-1"):
-            code, _, err = run_cli(capsys, "table", "--mu", mu, "--tol", "0")
+            code, _, err = run_cli(capsys, "table", "--mu", mu)
             assert code == EXIT_MISMATCH, mu
-            assert "mismatch" in err
-
-    def test_negative_tolerance_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["table", "--tol", "-1"])
-        assert exc.value.code == EXIT_USAGE
+            assert err.startswith("mismatch at A=20: computed 0.058856148622, "
+                                  "reference 0.058856158622")
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -77,15 +78,18 @@ class TestTable:
         ["cdf", "--tol", "1e-13"],
         ["approx", "--tol", "1e-13"],
         ["table", "--A", "20", "--A", "0.3"],
-        ["validate", "--paths", "0"],
-        ["validate", "--dt", "0"],
-        ["validate", "--horizon", "inf"],
-        ["validate", "--seed", "-1"],
+        # the checks run at the fixed settings of qsd_sr.checks, so no option
+        # sets them, not even to their own values
+        ["table", "--tol", "1e-10"],
+        ["validate", "--paths", "200000"],
+        ["validate", "--dt", "0.001"],
+        ["validate", "--horizon", "18"],
+        ["validate", "--seed", "20260810"],
     ], ids=["mu-nan", "mu-inf", "A-inf", "A-nan", "grid-1", "xmin-above-xmax",
             "validate-A-format", "validate-mu", "pdf-A-twice", "cdf-A-twice",
             "approx-A-twice", "pdf-tol-0", "pdf-tol", "cdf-tol", "approx-tol",
-            "table-below-domain", "validate-paths-0", "validate-dt-0",
-            "validate-horizon-inf", "validate-seed-negative"])
+            "table-below-domain", "table-tol", "validate-paths", "validate-dt",
+            "validate-horizon", "validate-seed"])
     def test_bad_arguments_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -226,8 +230,9 @@ class TestValidate:
         assert got == want + [("mc", "mc", None, "skipped")]
 
     def test_validate_usage_error(self):
+        # validate's golden tolerance is fixed in qsd_sr.checks
         with pytest.raises(SystemExit) as exc:
-            main(["validate", "--tol", "-1"])
+            main(["validate", "--tol", "1e-10"])
         assert exc.value.code == EXIT_USAGE
 
     def test_sl_suite(self, capsys):

@@ -46,6 +46,21 @@ def test_cold_start_loads_no_unneeded_module():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_validate_with_every_suite_skipped_loads_no_numpy():
+    # the checks run at fixed settings, so nothing is checked before a suite runs
+    proc = run_fresh(
+        "import os, sys\n"
+        "before = set(sys.modules)\n"
+        "from qsd_sr.cli import main\n"
+        "argv = ['validate', '--out', os.devnull]\n"
+        "for group in ('exact', 'identities', 'sl', 'mc'):\n"
+        "    argv += ['--skip', group]\n"
+        "assert main(argv) == 0\n"
+        "assert 'numpy' not in set(sys.modules) - before\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_import_loads_neither_scipy_nor_numpy():
     proc = run_without_scipy(
         "import qsd_sr, qsd_sr.checks\n"

@@ -72,6 +72,12 @@ class TestSturmLiouville:
         with pytest.raises(DomainError):
             sturm_liouville_eigen(params_mu1_A20, 99)
 
+    @pytest.mark.parametrize("n_grid", [200.7, 20000.0])
+    def test_rejects_non_integer_grid(self, params_mu1_A20, n_grid):
+        # a fractional n_grid ends the grid past A (x = 20.06 at 200.7)
+        with pytest.raises(DomainError):
+            sturm_liouville_eigen(params_mu1_A20, n_grid)
+
 
 # (mu, A, n_grid): c = mu^2 A from C_MIN = 0.5 (slowest inverse iteration)
 # to 2e4, and up to the mc-oracle grid size of 2e5 nodes
@@ -280,9 +286,11 @@ class TestNormIdentity:
         ) / (2.0 * hu)
         assert d_lam * d_u > 0.0
 
-    def test_residual_shrinks_with_step(self, sol_mu1_A20, params_mu1_A20):
-        coarse = norm_identity_check(params_mu1_A20, sol_mu1_A20.se, h_scale=3e-2)
-        fine = norm_identity_check(params_mu1_A20, sol_mu1_A20.se, h_scale=3e-3)
+    def test_residual_shrinks_with_step(self, sol_mu1_A20, params_mu1_A20, monkeypatch):
+        monkeypatch.setattr(oracle, "NORM_FD_STEP", 3e-2)
+        coarse = norm_identity_check(params_mu1_A20, sol_mu1_A20.se)
+        monkeypatch.setattr(oracle, "NORM_FD_STEP", 3e-3)
+        fine = norm_identity_check(params_mu1_A20, sol_mu1_A20.se)
         assert fine < coarse
 
 

@@ -500,3 +500,8 @@ class TestStationaryLaw:
         assert speed_density(0.0, p) == 0.0
         assert speed_density(-1.0, p) == 0.0
         assert stationary_cdf(0.0, p) == 0.0
+
+    @pytest.mark.parametrize("fn", [speed_density, stationary_cdf])
+    def test_nan_raises(self, fn):
+        with pytest.raises(DomainError):
+            fn(math.nan, ModelParams(mu=1.0, A=10.0))
