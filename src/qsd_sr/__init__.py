@@ -55,12 +55,13 @@ from .asymptotics import (
     lambda_order3,
     whittaker_expansion3,
 )
+from .checks import index_derivative_check, integral_identity_check, norm_identity_check
 
 
 def __getattr__(name):
-    # The names of __all__ not bound above are the oracles' (EmpiricalLaw,
-    # GridSolution, sturm_liouville_eigen, ...), which need numpy.  They load
-    # on first access (PEP 562), so importing the package does not pull it in.
+    # The names of __all__ not bound above are the numpy oracles' (GridSolution,
+    # EmpiricalLaw, sturm_liouville_eigen, simulate_killed_sr).  They load on
+    # first access (PEP 562), so importing the package does not pull numpy in.
     if name in __all__:
         from . import oracle
 

@@ -67,8 +67,11 @@ def approx_pdfs(sols, x: float) -> list:
     at x of ``sols``, approximate solutions of one model, with the expansion
     kernels evaluated once, and only when some order is 2 or 3.  Each is 0
     outside (0, A), and exactly 0 at A, where the order-k bracket vanishes
-    by construction of lam_k; clamped at 0, which rounding undershoots."""
-    if not sols or x <= 0.0 or x >= sols[0].params.A:
+    by construction of lam_k; clamped at 0, which rounding undershoots.
+    Raises :class:`DomainError` for x = nan."""
+    if not (sols and 0.0 < x < sols[0].params.A):
+        if x != x:
+            raise DomainError("position x must not be nan")
         return [0.0] * len(sols)
     mu2 = sols[0].params.mu2
     u = 2.0 / (mu2 * x)

@@ -123,19 +123,19 @@ def _eigen_equation(s: float, terms: tuple) -> float:
 
 def _polish(f, a: float, b: float, fa: float, fb: float):
     """Bisect the sign change of f on [a, b] until the midpoint no longer
-    splits the interval or f vanishes there.  Returns (root, evaluations),
-    the root being the end with the smaller |f|."""
+    splits the interval or f vanishes there.  Returns (root, |f(root)|,
+    evaluations), the root being the end with the smaller |f|."""
     evals = 0
     while a < (m := 0.5 * (a + b)) < b:
         fm = f(m)
         evals += 1
         if fm == 0.0:
-            return m, evals
+            return m, 0.0, evals
         if (fa < 0.0) != (fm < 0.0):
             b, fb = m, fm
         else:
             a, fa = m, fm
-    return (a if abs(fa) <= abs(fb) else b), evals
+    return (a, abs(fa), evals) if abs(fa) <= abs(fb) else (b, abs(fb), evals)
 
 
 def dominant_eigenvalue(params: ModelParams) -> EigenResult:
@@ -173,15 +173,14 @@ def dominant_eigenvalue(params: ModelParams) -> EigenResult:
         intervals.append((xs[-1], xs[-1], 0.0, 0.0))
     if not intervals:
         raise BracketError(_lam(lo, mu2), _lam(hi, mu2), vs[0], vs[-1])
-    roots = [(a, 0) if a == b else _polish(eq, a, b, fa, fb) for a, b, fa, fb in intervals]
+    roots = [(a, 0.0, 0) if a == b else _polish(eq, a, b, fa, fb) for a, b, fa, fb in intervals]
     if len(roots) > 1:
-        raise AmbiguousRootError(sorted(_lam(s, mu2) for s, _ in roots))
+        raise AmbiguousRootError(sorted(_lam(s, mu2) for s, _, _ in roots))
 
-    s, more = roots[0]
-    s = min(s, 1.0)
+    s, residual, more = roots[0]
     return EigenResult(
         lam=_lam(s, mu2),
         b=0.5 * cmath.sqrt(s),
-        residual=abs(eq(s)),
+        residual=residual,
         iterations=SCAN_NODES + 1 + more,
     )

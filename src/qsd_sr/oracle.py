@@ -1,21 +1,18 @@
-"""Independent verification machinery.
+"""The numpy oracles.
 
-None of the code here reuses the closed-form law beyond the special-function
-kernel it is checking against:
+None of the code here reuses the closed-form law or its special-function
+kernel:
 
 * a self-adjoint finite-volume discretization of the eigenvalue problem
   (d/dx)[p(x) phi'(x)] = lam m(x) phi(x), p(x) = (mu^2/2) x^2 m(x), with
   zero flux on the first cell face and a Dirichlet condition at A, solved as
   a symmetric tridiagonal eigenproblem by inverse iteration with odd-even
-  cyclic reduction,
+  cyclic reduction, and
 * a Monte-Carlo simulator of the killed diffusion dR = dt + mu R dB that
-  advances all paths as one array on one seeded stream, and
-* quadrature residuals for the integral identity behind the cdf formula and
-  for the eigenfunction-norm identity (tanh-sinh rule, :func:`_quad`), and a
-  finite-difference residual for the index-derivative identities behind the
-  large-threshold expansion.
+  advances all paths as one array on one seeded stream.
 
-Everything here needs numpy and nothing else.
+Everything here needs numpy and nothing else.  The pure-Python quadrature
+and identity residuals live in :mod:`qsd_sr.checks`.
 """
 
 from __future__ import annotations
@@ -26,25 +23,14 @@ from numbers import Integral
 
 import numpy as np
 
-from .asymptotics import index_derivative_identity
-from .eigensolver import EigenResult, _index_b
 from .errors import ConvergenceError, DomainError, NoSurvivorsError
-from .specfun import (
-    ModelParams,
-    WhittakerIndex,
-    speed_density,
-    whittaker_w,
-    whittaker_w_scaled,
-)
+from .specfun import ModelParams
 
 __all__ = [
     "GridSolution",
     "EmpiricalLaw",
     "sturm_liouville_eigen",
     "simulate_killed_sr",
-    "integral_identity_check",
-    "index_derivative_check",
-    "norm_identity_check",
 ]
 
 # The grid is truncated where exp(-2/(mu^2 x)) falls below exp(-80): the
@@ -254,140 +240,3 @@ def simulate_killed_sr(
         )
     return EmpiricalLaw(samples=np.sort(survivors), n_survivors=int(survivors.size),
                         n_paths_total=n_paths)
-
-
-# Tanh-sinh quadrature: nodes t = k h on [-QUAD_T_MAX, QUAD_T_MAX], where the
-# weights fall to ~1e-36; h halves from 1 for at most QUAD_LEVELS levels
-# (2049 nodes at the last).
-QUAD_T_MAX = 4
-QUAD_LEVELS = 8
-
-
-def _quad(f, a, b, epsabs, epsrel):
-    """Integral of ``f`` over [a, b] (``b = inf`` allowed) by the tanh-sinh
-    rule (Takahasi and Mori, Publ. RIMS 9, 1974); returns ``(value, error)``.
-
-    The node of parameter t sits at unit-interval position s with
-    ``s = 1 / (e^{-2u} + 1)`` and ``1 - s = 1 / (e^{2u} + 1)``,
-    ``u = (pi/2) sinh t``, both computed directly so no node rounds onto an
-    end of a finite interval; ``b = inf`` maps s to ``a + s / (1 - s)``.  The
-    step halves until two successive sums differ by at most
-    ``max(epsabs, epsrel |value|)``, which is the returned error.  Raises
-    :class:`ConvergenceError` when the deepest level misses the tolerance or
-    the integrand does not vanish at the truncated ends.
-    """
-    infinite = math.isinf(b)
-    if not (math.isfinite(a) and a < b):
-        raise DomainError(f"need finite a < b, got [{a}, {b}]")
-
-    def term(t):
-        u = 0.5 * math.pi * math.sinh(t)
-        s, s_c = 1.0 / (math.exp(-2.0 * u) + 1.0), 1.0 / (math.exp(2.0 * u) + 1.0)
-        w = math.pi * math.cosh(t) * s * s_c  # ds/dt
-        if infinite:
-            return w / (s_c * s_c) * f(a + s / s_c)
-        x = a + (b - a) * s if s <= 0.5 else b - (b - a) * s_c
-        return w * (b - a) * f(x)
-
-    level0 = [term(float(k)) for k in range(-QUAD_T_MAX, QUAD_T_MAX + 1)]
-    total = math.fsum(level0)
-    h, value = 1.0, total
-    for level in range(QUAD_LEVELS):
-        h *= 0.5
-        steps = round(QUAD_T_MAX / h)
-        total += math.fsum(term(k * h) for k in range(1 - steps, steps, 2))
-        value, err = h * total, abs(h * total - value)
-        tol = max(epsabs, epsrel * abs(value))
-        if level >= 2 and err <= tol:
-            if max(abs(level0[0]), abs(level0[-1])) > tol:
-                raise ConvergenceError(
-                    f"integrand does not vanish at the ends of [{a}, {b}]: "
-                    f"{level0[0]:.3g}, {level0[-1]:.3g}"
-                )
-            return value, err
-    raise ConvergenceError(
-        f"tanh-sinh quadrature on [{a}, {b}] changed by {err:.3g} at step {h:g}"
-    )
-
-
-def integral_identity_check(b: complex, z: float) -> float:
-    """Quadrature residual of the identity
-
-        int_1^inf t^-1 e^{-z t/2} W_{1,b}(z t) dt = e^{-z/2} W_{0,b}(z)
-
-    for z > 0 and admissible b.  Returns the absolute residual."""
-    if z <= 0.0:
-        raise DomainError(f"z must be positive, got {z}")
-    idx1 = WhittakerIndex(1, b)
-
-    lhs, _ = _quad(
-        lambda t: whittaker_w(idx1, z * t) * math.exp(-0.5 * z * t) / t,
-        1.0,
-        math.inf,
-        epsabs=1e-12,
-        epsrel=1e-10,
-    )
-    rhs = math.exp(-0.5 * z) * whittaker_w(WhittakerIndex(0, b), z)
-    return abs(lhs - rhs)
-
-
-def index_derivative_check(k: int, x: float) -> float:
-    """Relative residual of the closed-form k-th b-derivative of W_{1,b}(x)
-    at b = 1/2 (:func:`index_derivative_identity`) against centered finite
-    differences in b with steps 1e-2 and 5e-3, combined by Richardson
-    extrapolation."""
-    closed = index_derivative_identity(k, x)
-
-    def stencil(h):
-        w = [whittaker_w(WhittakerIndex(1, 0.5 + j * h), x) for j in (-2, -1, 0, 1, 2)]
-        if k == 1:
-            return (w[3] - w[1]) / (2.0 * h)
-        if k == 2:
-            return (w[3] - 2.0 * w[2] + w[1]) / (h * h)
-        return (w[4] - 2.0 * w[3] + 2.0 * w[1] - w[0]) / (2.0 * h**3)
-
-    d1, d2 = stencil(1e-2), stencil(1e-2 / 2.0)
-    numeric = (4.0 * d2 - d1) / 3.0
-    return abs(numeric - closed) / abs(closed)
-
-
-NORM_FD_STEP = 1e-6  # the norm identity's difference step, relative to lam and z_A
-
-
-def norm_identity_check(params: ModelParams, se: EigenResult) -> float:
-    """Relative residual of the eigenfunction-norm identity
-
-        int_0^A m(x) phi(x, lam)^2 dx
-            = (mu^2/2) [d/dlam W_{1,xi(lam)/2}(z_A)] [d/du W_{1,xi(lam)/2}(u)|_{u=z_A}]
-
-    with the eigenfunction constant fixed to 1 and z_A = 2/(mu^2 A).  The
-    mu^2/2 factor is the Jacobian of the substitution u = 2/(mu^2 x); its
-    presence is cross-validated by the implicit-differentiation identity
-    d(lam)/dA = (2/(mu^2 A^2)) (dW/du) / (dW/dlam).  Both derivative factors
-    are centered finite differences with step NORM_FD_STEP times the natural
-    scale of each variable."""
-    mu2, A = params.mu2, params.A
-    z_a = 2.0 / (mu2 * A)
-    idx = WhittakerIndex(1, se.b)
-
-    # the eigenfunction phi(x, lam) = exp(z/2) z^-1 W_{1,b}(z), z = 2/(mu^2 x),
-    # with the index built once for every quadrature node
-    norm2, _ = _quad(
-        lambda x: speed_density(x, params) * whittaker_w_scaled(idx, 2.0 / (mu2 * x)) ** 2,
-        0.0,
-        A,
-        epsabs=1e-12,
-        epsrel=1e-10,
-    )
-
-    def w_of_lambda(lam):
-        return whittaker_w(WhittakerIndex(1, _index_b(lam, mu2)), z_a)
-
-    h_lam = NORM_FD_STEP * max(abs(se.lam), 1e-3)
-    d_lam = (w_of_lambda(se.lam + h_lam) - w_of_lambda(se.lam - h_lam)) / (2.0 * h_lam)
-
-    h_u = NORM_FD_STEP * z_a
-    d_u = (whittaker_w(idx, z_a + h_u) - whittaker_w(idx, z_a - h_u)) / (2.0 * h_u)
-
-    rhs = 0.5 * mu2 * d_lam * d_u
-    return abs(norm2 - rhs) / abs(norm2)

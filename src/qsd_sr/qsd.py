@@ -81,20 +81,24 @@ def _density(x: float, sol: QsdSolution) -> float:
 def pdf(x: float, sol: QsdSolution) -> float:
     """Density q(x); returns 0 outside (0, A) so callers may evaluate on
     arbitrary plotting grids.  q(0+) = 0 and q(A) = 0 exactly.  Clamped at
-    0, which rounding in the closed form undershoots just below A."""
-    if x <= 0.0 or x >= sol.params.A:
+    0, which rounding in the closed form undershoots just below A.  Raises
+    :class:`DomainError` for x = nan."""
+    if not (0.0 < x < sol.params.A):
+        if x != x:
+            raise DomainError("position x must not be nan")
         return 0.0
     return max(0.0, _density(x, sol))
 
 
 def cdf(x: float, sol: QsdSolution) -> float:
     """Distribution function Q(x): 0 for x <= 0, 1 for x >= A.  Clamped to
-    at most 1, which rounding in the closed form overshoots just below A."""
+    at most 1, which rounding in the closed form overshoots just below A.
+    Raises :class:`DomainError` for x = nan."""
     A, mu2 = sol.params.A, sol.params.mu2
-    if x <= 0.0:
-        return 0.0
-    if x >= A:
-        return 1.0
+    if not (0.0 < x < A):
+        if x != x:
+            raise DomainError("position x must not be nan")
+        return 0.0 if x <= 0.0 else 1.0
     z = 2.0 / (mu2 * x)
     if z > 1400.0:
         return 0.0

@@ -128,6 +128,24 @@ class TestSingleScan:
             dominant_eigenvalue(self.PARAMS)
         assert len(calls) <= 65
 
+    @pytest.mark.parametrize("mu,A", [(1.0, 20.0), (1.0, 3.0), (0.5, 2.0), (2.0, 1e4)])
+    def test_iterations_count_every_evaluation(self, monkeypatch, mu, A):
+        # the residual is |W| at the root as the polish evaluated it, so a
+        # solve makes exactly `iterations` evaluations
+        calls = []
+        equation = eigensolver._eigen_equation
+        p = ModelParams(mu=mu, A=A)
+
+        def counted(s, terms):
+            calls.append((s, equation(s, terms)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(eigensolver, "_eigen_equation", counted)
+        res = dominant_eigenvalue(p)
+        assert len(calls) == res.iterations
+        at_root = {abs(v) for s, v in calls if eigensolver._lam(s, p.mu2) == res.lam}
+        assert res.residual in at_root
+
     def test_three_sign_changes_report_every_root(self, monkeypatch):
         br = eigen_bracket(self.PARAMS)
         roots = [br.lo + (br.hi - br.lo) * f for f in (0.87, 0.21, 0.53)]

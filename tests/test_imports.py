@@ -1,7 +1,8 @@
 """The package never needs scipy, and the core needs no numpy at import:
 every command, ``validate --skip mc`` included, and the oracles run with
-scipy blocked; the oracle names load on first access.  The import and the
-CSV commands load none of dataclasses, inspect or json either."""
+scipy blocked; the numpy oracles' names load on first access, and only the
+``sl`` and ``mc`` suites of ``validate`` load numpy.  The import and the CSV
+commands load none of dataclasses, inspect or json either."""
 
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qsd_sr
-from qsd_sr import oracle
+from qsd_sr import checks, oracle
 
 SRC = str(Path(qsd_sr.__file__).resolve().parents[1])
 
@@ -61,6 +62,22 @@ def test_validate_with_every_suite_skipped_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_pure_python_suites_run_with_numpy_blocked():
+    # the quadrature rule and the identity residuals live in checks, not in
+    # the numpy oracles
+    proc = run_fresh(
+        "import os, sys\n"
+        "before = set(sys.modules)\n"
+        "sys.modules['numpy'] = None\n"
+        "from qsd_sr.cli import main\n"
+        "code = main(['validate', '--skip', 'sl', '--skip', 'mc', '--out', os.devnull])\n"
+        "added = {m for m in set(sys.modules) - before if sys.modules[m] is not None}\n"
+        "assert not any(m.split('.')[0] == 'numpy' for m in added), sorted(added)\n"
+        "sys.exit(code)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_import_loads_neither_scipy_nor_numpy():
     proc = run_without_scipy(
         "import qsd_sr, qsd_sr.checks\n"
@@ -97,6 +114,8 @@ def test_every_exported_name_resolves():
     for name in qsd_sr.__all__:
         assert getattr(qsd_sr, name) is not None, name
     assert qsd_sr.sturm_liouville_eigen is oracle.sturm_liouville_eigen
+    for name in ("index_derivative_check", "integral_identity_check", "norm_identity_check"):
+        assert getattr(qsd_sr, name) is getattr(checks, name), name
 
 
 def test_star_import():

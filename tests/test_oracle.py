@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from oracles import ks_distance
-from qsd_sr import cli, oracle
+from qsd_sr import checks, cli, oracle
 from qsd_sr import (
     ConvergenceError,
     DomainError,
@@ -138,13 +138,13 @@ class TestGridEigenAgainstLapack:
 class TestQuadrature:
     def test_matches_scipy_quad_on_validate_integrands(self, monkeypatch):
         calls = []
-        quad_ = oracle._quad
+        quad_ = checks._quad
 
         def recording(f, a, b, epsabs, epsrel):
             calls.append((f, a, b, epsabs, epsrel))
             return quad_(f, a, b, epsabs, epsrel)
 
-        monkeypatch.setattr(oracle, "_quad", recording)
+        monkeypatch.setattr(checks, "_quad", recording)
         assert cli.main(["validate", "--skip", "mc", "--out", os.devnull]) == 0
         assert calls
         for f, a, b, epsabs, epsrel in calls:
@@ -156,17 +156,17 @@ class TestQuadrature:
     def test_step_does_not_converge(self):
         # a jump leaves an O(h) error at every level
         with pytest.raises(ConvergenceError):
-            oracle._quad(lambda x: float(x < 1.0 / 3.0), 0.0, 1.0, 1e-12, 1e-10)
+            checks._quad(lambda x: float(x < 1.0 / 3.0), 0.0, 1.0, 1e-12, 1e-10)
 
     def test_nonintegrable_end_raises(self):
         # the truncated rule would sum 1/x to a finite number
         with pytest.raises(ConvergenceError):
-            oracle._quad(lambda x: 1.0 / x, 0.0, 1.0, 1e-12, 1e-10)
+            checks._quad(lambda x: 1.0 / x, 0.0, 1.0, 1e-12, 1e-10)
 
     @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0), (-math.inf, 0.0), (math.nan, 1.0)])
     def test_bad_interval(self, a, b):
         with pytest.raises(DomainError):
-            oracle._quad(math.exp, a, b, 1e-12, 1e-10)
+            checks._quad(math.exp, a, b, 1e-12, 1e-10)
 
 
 class TestSimulation:
@@ -287,9 +287,9 @@ class TestNormIdentity:
         assert d_lam * d_u > 0.0
 
     def test_residual_shrinks_with_step(self, sol_mu1_A20, params_mu1_A20, monkeypatch):
-        monkeypatch.setattr(oracle, "NORM_FD_STEP", 3e-2)
+        monkeypatch.setattr(checks, "NORM_FD_STEP", 3e-2)
         coarse = norm_identity_check(params_mu1_A20, sol_mu1_A20.se)
-        monkeypatch.setattr(oracle, "NORM_FD_STEP", 3e-3)
+        monkeypatch.setattr(checks, "NORM_FD_STEP", 3e-3)
         fine = norm_identity_check(params_mu1_A20, sol_mu1_A20.se)
         assert fine < coarse
 

@@ -9,6 +9,7 @@ from qsd_sr import (
     DomainError,
     ModelParams,
     boundary_flux_identity,
+    build_approx,
     build_solution,
     cdf,
     mean,
@@ -132,6 +133,19 @@ class TestRecordedValues:
         for x, q, Q in LAW_VALUES[(mu, A)]:
             assert pdf(x, sol) == pytest.approx(q, rel=1e-14), x
             assert cdf(x, sol) == pytest.approx(Q, rel=1e-14), x
+
+@pytest.mark.parametrize("density", [
+    pdf,
+    cdf,
+    lambda x, sol: build_approx(sol.params, 1).pdf(x),
+    lambda x, sol: build_approx(sol.params, 2).pdf(x),
+    lambda x, sol: build_approx(sol.params, 3).pdf(x),
+], ids=["pdf", "cdf", "approx1", "approx2", "approx3"])
+def test_nan_position_is_domain_error(density, sol_mu1_A20):
+    # named as the position, not as the Whittaker argument it would become
+    with pytest.raises(DomainError, match="position x"):
+        density(math.nan, sol_mu1_A20)
+
 
 class TestCdf:
     def test_boundaries(self, sol_mu1_A20):
