@@ -111,17 +111,21 @@ def lambda_order1(params: ModelParams) -> float:
 
 def lambda_order2(params: ModelParams) -> float:
     """Second-order approximation: the root closest to zero of the quadratic
-    truncation.  Raises :class:`ThresholdTooSmallError` when the discriminant
-    1 - (8/(mu^2 A)) L(2/(mu^2 A)) is negative (no real solutions)."""
+    truncation, -2 mu^2 / (c (1 + sqrt(disc))) with c = mu^2 A: the
+    textbook form -mu^2 (1 - sqrt(disc)) / (4 L) rationalized, which loses
+    no digits to 1 - sqrt(disc) as c grows.  Raises
+    :class:`ThresholdTooSmallError` when the discriminant
+    disc = 1 - (8/c) L(2/c) is negative (no real solutions)."""
     mu2, A = params.mu2, params.A
-    ell, _ = _expansion_coefficients(2.0 / (mu2 * A))
-    disc = 1.0 - 8.0 / (mu2 * A) * ell
+    c = mu2 * A
+    ell, _ = _expansion_coefficients(2.0 / c)
+    disc = 1.0 - 8.0 / c * ell
     if disc < 0.0:
         raise ThresholdTooSmallError(
             f"quadratic eigenvalue correction has no real roots at mu={params.mu}, "
             f"A={A} (discriminant {disc:.6g})"
         )
-    return -0.25 * mu2 * (1.0 - math.sqrt(disc)) / ell
+    return -2.0 * mu2 / (c * (1.0 + math.sqrt(disc)))
 
 
 def lambda_order3(params: ModelParams) -> float:

@@ -126,9 +126,9 @@ def integral_identity_check(b: complex, z: float) -> float:
 
         int_1^inf t^-1 e^{-z t/2} W_{1,b}(z t) dt = e^{-z/2} W_{0,b}(z)
 
-    for z > 0 and admissible b.  Returns the absolute residual."""
-    if z <= 0.0:
-        raise DomainError(f"z must be positive, got {z}")
+    for finite z > 0 and admissible b.  Returns the absolute residual."""
+    if not (0.0 < z < math.inf):
+        raise DomainError(f"z must be finite and positive, got {z}")
     idx1 = WhittakerIndex(1, b)
 
     lhs, _ = _quad(

@@ -43,8 +43,8 @@ class QsdSolution(namedtuple("QsdSolution", "params se denom w0 w1 w2")):
     parameters, the solver's eigenvalue and spectral index, the
     normalization denominator of the closed-form law, and the Whittaker
     indices W_{0,b}, W_{1,b}, W_{2,b} of the cdf, the pdf and the pdf's
-    slope, built once so that their factors cosh(b t_k) are computed once
-    per law."""
+    slope, built once so that their rows cosh(b t_k) v_k^j are computed
+    once per law, not per point."""
 
     __slots__ = ()
 
@@ -74,8 +74,7 @@ def _density(x: float, sol: QsdSolution) -> float:
     if z > 1400.0:
         return 0.0
     # (1/x) e^{-z/2} W_1(z) = (mu^2 z^2 / 2) e^{-z} * scaled W
-    w = whittaker_w_scaled(sol.w1, z)
-    return 0.5 * mu2 * z * z * math.exp(-z) * w / sol.denom
+    return 0.5 * mu2 * z * z * math.exp(-z) * whittaker_w_scaled(sol.w1, z) / sol.denom
 
 
 def pdf(x: float, sol: QsdSolution) -> float:
@@ -87,23 +86,23 @@ def pdf(x: float, sol: QsdSolution) -> float:
         if x != x:
             raise DomainError("position x must not be nan")
         return 0.0
-    return max(0.0, _density(x, sol))
+    q = _density(x, sol)
+    return q if q > 0.0 else 0.0
 
 
 def cdf(x: float, sol: QsdSolution) -> float:
     """Distribution function Q(x): 0 for x <= 0, 1 for x >= A.  Clamped to
     at most 1, which rounding in the closed form overshoots just below A.
     Raises :class:`DomainError` for x = nan."""
-    A, mu2 = sol.params.A, sol.params.mu2
-    if not (0.0 < x < A):
+    if not (0.0 < x < sol.params.A):
         if x != x:
             raise DomainError("position x must not be nan")
         return 0.0 if x <= 0.0 else 1.0
-    z = 2.0 / (mu2 * x)
+    z = 2.0 / (sol.params.mu2 * x)
     if z > 1400.0:
         return 0.0
-    w = whittaker_w_scaled(sol.w0, z)
-    return min(1.0, math.exp(-z) * w / sol.denom)
+    q = math.exp(-z) * whittaker_w_scaled(sol.w0, z) / sol.denom
+    return q if q < 1.0 else 1.0
 
 
 def moments(sol: QsdSolution, n_max: int) -> tuple:
@@ -148,13 +147,6 @@ def variance(sol: QsdSolution) -> float:
     return -(mu2 * m1 * m1 + 1.0 / lam) / (mu2 - lam)
 
 
-def _slope_sign(x: float, sol: QsdSolution) -> float:
-    # q'(x) is a positive multiple of W_{2,b}(2/(mu^2 x)); the scaled form
-    # carries the same sign
-    z = 2.0 / (sol.params.mu2 * x)
-    return whittaker_w_scaled(sol.w2, z)
-
-
 def mode(sol: QsdSolution) -> float:
     """Unique interior maximizer of the density.
 
@@ -166,15 +158,21 @@ def mode(sol: QsdSolution) -> float:
     (55-85 evaluations of W_2 for c from 0.5 to 1e9).  Raises
     :class:`ConvergenceError` when an end sign is wrong.
     """
-    A = sol.params.A
-    lo = min(2.0 / (sol.params.mu2 * 1e4), 0.5 * A)
-    f_lo, f_a = _slope_sign(lo, sol), _slope_sign(A, sol)
+    A, mu2, w2 = sol.params.A, sol.params.mu2, sol.w2
+
+    def slope_sign(x):
+        # q'(x) is a positive multiple of W_{2,b}(2/(mu^2 x)); the scaled
+        # form carries the same sign
+        return whittaker_w_scaled(w2, 2.0 / (mu2 * x))
+
+    lo = min(2.0 / (mu2 * 1e4), 0.5 * A)
+    f_lo, f_a = slope_sign(lo), slope_sign(A)
     if not (f_lo > 0.0 and f_a < 0.0):
         raise ConvergenceError(
             f"density slope signs {f_lo:+.3e} at x={lo:.6g} and {f_a:+.3e} at A={A:.6g} "
             "do not bracket the mode"
         )
-    return _polish(lambda x: _slope_sign(x, sol), lo, A, f_lo, f_a)[0]
+    return _polish(slope_sign, lo, A, f_lo, f_a)[0]
 
 
 def boundary_flux_identity(sol: QsdSolution) -> float:

@@ -61,6 +61,15 @@ class TestEigenvalueApproximations:
             vals.append(A**1.5 * abs(float(refs[0]) - float(refs[1])))
         assert max(vals) < 10.0 * max(vals[-3:])
 
+    def test_order2_root_keeps_its_digits_at_large_c(self):
+        # the near-zero root of (2/mu^2) L lam^2 + lam + 1/A = 0 at mu = 1,
+        # computed once in 45-digit mpmath (L from mpmath's e1 and the
+        # series of G) and kept to 20 digits; 1 - sqrt(disc) would lose
+        # about log10(c) of them
+        for c, ref in ((1e7, -1.0000027695670437475e-7), (1e9, -1.0000000369058095556e-9)):
+            lam = lambda_order2(ModelParams(mu=1.0, A=c))
+            assert abs(lam - ref) <= 1e-15 * abs(ref), c
+
     def test_order2_threshold_too_small(self):
         with pytest.raises(ThresholdTooSmallError):
             lambda_order2(ModelParams(mu=1.0, A=1.0))

@@ -259,8 +259,10 @@ class TestIntegralIdentity:
         assert integral_identity_check(0.25j, 0.5) < 1e-7
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            integral_identity_check(0.2, -1.0)
+        # the error names z, not the Whittaker argument z t it would reach
+        for z in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(DomainError, match="z must be finite and positive"):
+                integral_identity_check(0.2, z)
 
 
 class TestNormIdentity:

@@ -1,4 +1,6 @@
+import cmath
 import math
+import sys
 from bisect import bisect_right
 
 import numpy as np
@@ -39,15 +41,19 @@ from qsd_sr.specfun import (
     EULER_GAMMA,
     _LAGUERRE_RULE,
     _NEG_REACH,
+    _N_ROW,
     _X_FIXED,
     _Z_MAX,
     _Z_MIN,
     _g_laguerre,
     _g_series,
+    _w_terms,
 )
 
 # the argument where the trapezoid step turns from fixed to 0.6/sqrt(z/2)
 Z_HANDOFF = 2.0 * _X_FIXED
+# below this argument the fixed-step sum reaches past an index's cached rows
+Z_TABLE_END = -2.0 * _NEG_REACH[_N_ROW]
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +301,8 @@ class TestWhittakerW:
 
 
 class TestIndexReuse:
-    """An index keeps its factors cosh(b t_k) on the fixed-step nodes, and a
-    reused index gives exactly what a fresh one gives."""
+    """An index keeps its rows cosh(b t_k) v_k^j on the fixed-step nodes,
+    and a reused index gives exactly what a fresh one gives."""
 
     # one index per path through whittaker_w_scaled, with z on that path
     BRANCHES = {
@@ -328,7 +334,7 @@ class TestIndexReuse:
         before = (repr(idx), hash(idx))
         for z in (0.5, 2.0, 40.0):
             whittaker_w_scaled(idx, z)
-        assert "_cosh_bt" in vars(idx)
+        assert "_rows" in vars(idx)
         assert (repr(idx), hash(idx)) == before
         assert repr(idx) == "WhittakerIndex(a=1, b=(0.3+0j))"
         assert idx == WhittakerIndex(1, 0.3) and hash(idx) == hash(WhittakerIndex(1, 0.3))
@@ -337,6 +343,20 @@ class TestIndexReuse:
         for name in ("a", "b"):
             with pytest.raises(AttributeError):
                 setattr(idx, name, 0)
+
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    @pytest.mark.parametrize("b", [0.0, 0.3, -0.45, 0.5, 0.55, 0.4j, 3.5565j])
+    def test_rows_match_terms_summed_per_node(self, a, b):
+        # the kernel sums its cached or per-call rows against one exp pass;
+        # _w_terms multiplies each node's weight out first, so the two agree
+        # to rounding in the sum of |terms|
+        idx = WhittakerIndex(a, b)
+        zs = (0.5 * Z_TABLE_END, 0.9 * Z_TABLE_END, 1.1 * Z_TABLE_END, 0.1, 2.0,
+              Z_HANDOFF - 0.1, Z_HANDOFF + 0.1, 40.0)
+        for z in zs:
+            terms = [w * cmath.cosh(idx.b * t).real for t, w in zip(*_w_terms(a, z))]
+            bound = 8.0 * sys.float_info.epsilon * sum(map(abs, terms))
+            assert abs(whittaker_w_scaled(idx, z) - sum(terms)) <= bound, z
 
     def test_zero_index_builds_and_evaluates(self):
         for a in (0, 1, 2):
