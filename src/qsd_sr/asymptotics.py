@@ -172,8 +172,8 @@ def lambda_order3(params: ModelParams) -> float:
 
 def whittaker_expansion3(x: float, lam: float, params: ModelParams) -> float:
     """Third-order truncation of W_{1, xi(lam)/2}(2/(mu^2 x)) around lam = 0."""
-    if not (x > 0.0):
-        raise DomainError(f"expansion argument must be positive, got {x}")
+    if not (0.0 < x < math.inf):
+        raise DomainError(f"x must be finite and positive, got {x}")
     mu2 = params.mu2
     kernels = _expansion_coefficients(2.0 / (mu2 * x))
     return 2.0 / mu2 * math.exp(-1.0 / (mu2 * x)) * _bracket(3, x, lam, mu2, kernels)
@@ -181,15 +181,23 @@ def whittaker_expansion3(x: float, lam: float, params: ModelParams) -> float:
 
 def index_derivative_identity(k: int, x: float) -> float:
     """Closed form of the k-th derivative of W_{1,b}(x) in b at b = 1/2."""
-    if not x > 0.0:
-        raise DomainError(f"argument must be positive, got {x}")
+    return math.exp(-0.5 * x) * _index_derivative_scaled(k, x)
+
+
+def _index_derivative_scaled(k: int, x: float) -> float:
+    """:func:`index_derivative_identity` without its factor e^{-x/2}, which
+    underflows to 0 above x = 1491: 1, 2 (e^x E1(x) + x G(x)) and 6 G(x)
+    for k = 1, 2, 3.  Raises :class:`DomainError` unless x is finite and
+    positive."""
+    if not (0.0 < x < math.inf):
+        raise DomainError(f"x must be finite and positive, got {x}")
     if k == 1:
-        return math.exp(-0.5 * x)
+        return 1.0
     if k == 2:
         # e^x E1(x) + x G(x) = L(x) + 1
-        return 2.0 * math.exp(-0.5 * x) * (_g_and_l(x)[1] + 1.0)
+        return 2.0 * (_g_and_l(x)[1] + 1.0)
     if k == 3:
-        return 6.0 * math.exp(-0.5 * x) * meijer_g_special(x)
+        return 6.0 * meijer_g_special(x)
     raise DomainError(f"derivative order must be 1, 2 or 3, got {k}")
 
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 
 from . import asymptotics, qsd
-from .eigensolver import EigenResult, _index_b, dominant_eigenvalue
+from .eigensolver import EigenResult, dominant_eigenvalue
 from .errors import ConvergenceError, DomainError, ThresholdTooSmallError
-from .specfun import (ModelParams, WhittakerIndex, exp_scaled_e1, meijer_g_special, speed_density,
-                      whittaker_w, whittaker_w_scaled)
+from .specfun import (ModelParams, WhittakerIndex, _index_derivative, exp_scaled_e1,
+                      meijer_g_special, speed_density, whittaker_w, whittaker_w_scaled)
 
 # Reference values for mu = 1, twelve decimals: negated dominant eigenvalue
 # and its order-1/2/3 approximations, used as golden regression data.
@@ -144,25 +144,14 @@ def integral_identity_check(b: complex, z: float) -> float:
 
 def index_derivative_check(k: int, x: float) -> float:
     """Relative residual of the closed-form k-th b-derivative of W_{1,b}(x)
-    at b = 1/2 (:func:`index_derivative_identity`) against centered finite
-    differences in b with steps 1e-2 and 5e-3, combined by Richardson
-    extrapolation."""
-    closed = asymptotics.index_derivative_identity(k, x)
-
-    def stencil(h):
-        w = [whittaker_w(WhittakerIndex(1, 0.5 + j * h), x) for j in (-2, -1, 0, 1, 2)]
-        if k == 1:
-            return (w[3] - w[1]) / (2.0 * h)
-        if k == 2:
-            return (w[3] - 2.0 * w[2] + w[1]) / (h * h)
-        return (w[4] - 2.0 * w[3] + 2.0 * w[1] - w[0]) / (2.0 * h**3)
-
-    d1, d2 = stencil(1e-2), stencil(1e-2 / 2.0)
-    numeric = (4.0 * d2 - d1) / 3.0
-    return abs(numeric - closed) / abs(closed)
-
-
-NORM_FD_STEP = 1e-6  # the norm identity's difference step, relative to lam and z_A
+    at b = 1/2 (:func:`index_derivative_identity`) against the kernel's own
+    index derivative, the terms of its trapezoid sum differentiated in b.
+    Both are compared without their common factor e^{-x/2}, so the residual
+    stays defined where that factor underflows."""
+    closed = asymptotics._index_derivative_scaled(k, x)
+    # W_{1,b}(x) = e^{-x/2} x * scaled W_{1,b}(x)
+    kernel = x * _index_derivative(WhittakerIndex(1, 0.5), x, k).real
+    return abs(kernel - closed) / abs(closed)
 
 
 def norm_identity_check(params: ModelParams, se: EigenResult) -> float:
@@ -175,8 +164,9 @@ def norm_identity_check(params: ModelParams, se: EigenResult) -> float:
     mu^2/2 factor is the Jacobian of the substitution u = 2/(mu^2 x); its
     presence is cross-validated by the implicit-differentiation identity
     d(lam)/dA = (2/(mu^2 A^2)) (dW/du) / (dW/dlam).  Both derivative factors
-    are centered finite differences with step NORM_FD_STEP times the natural
-    scale of each variable."""
+    are exact: d/dlam is the kernel's index derivative times
+    db/dlam = 1/(mu^2 b), and d/du W_1 = ((u/2 - 1) W_1 - W_2)/u (DLMF
+    §13.15)."""
     mu2, A = params.mu2, params.A
     z_a = 2.0 / (mu2 * A)
     idx = WhittakerIndex(1, se.b)
@@ -191,14 +181,10 @@ def norm_identity_check(params: ModelParams, se: EigenResult) -> float:
         epsrel=1e-10,
     )
 
-    def w_of_lambda(lam):
-        return whittaker_w(WhittakerIndex(1, _index_b(lam, mu2)), z_a)
-
-    h_lam = NORM_FD_STEP * max(abs(se.lam), 1e-3)
-    d_lam = (w_of_lambda(se.lam + h_lam) - w_of_lambda(se.lam - h_lam)) / (2.0 * h_lam)
-
-    h_u = NORM_FD_STEP * z_a
-    d_u = (whittaker_w(idx, z_a + h_u) - whittaker_w(idx, z_a - h_u)) / (2.0 * h_u)
+    # W_1 = e^{-z/2} z * scaled W_1; real also for imaginary b
+    d_lam = math.exp(-0.5 * z_a) * z_a * (_index_derivative(idx, z_a, 1) / (mu2 * se.b)).real
+    w2 = whittaker_w(WhittakerIndex(2, se.b), z_a)
+    d_u = ((0.5 * z_a - 1.0) * whittaker_w(idx, z_a) - w2) / z_a
 
     rhs = 0.5 * mu2 * d_lam * d_u
     return abs(norm2 - rhs) / abs(norm2)
@@ -230,7 +216,7 @@ def _exact():
             yield _check(f"normalization_mu{mu}_A{a:g}", "exact", abs(total - 1.0), 1e-8)
             flux = qsd.boundary_flux_identity(sol)
             yield _check(f"boundary_flux_mu{mu}_A{a:g}", "exact",
-                         abs(flux - sol.se.lam) / abs(sol.se.lam), 1e-5)
+                         abs(flux - sol.se.lam) / abs(sol.se.lam), 3e-12)
 
 
 def _identities():
@@ -240,7 +226,7 @@ def _identities():
     for k in (1, 2, 3):
         for x in (0.5, 2.0, 10.0):
             yield _check(f"index_derivative_k{k}_x{x:g}", "identities",
-                         index_derivative_check(k, x), 1e-5)
+                         index_derivative_check(k, x), 3e-13)
     x = 2.0
     alt, _ = _quad(lambda y: exp_scaled_e1(y) / y, x, math.inf, epsabs=1e-12, epsrel=1e-11)
     yield _check("meijer_g_tail_form_x2", "identities", abs(meijer_g_special(x) - alt), 1e-9)
@@ -260,7 +246,7 @@ def _sl():
         for x, qh in zip(grid_sol.grid[::step], grid_sol.q_hat[::step])
     )
     yield _check("sl_density_sup_deviation", "sl", dev, 1e-4)
-    yield _check("norm_identity_relative", "sl", norm_identity_check(p, sol.se), 1e-4)
+    yield _check("norm_identity_relative", "sl", norm_identity_check(p, sol.se), 5e-12)
 
 
 def _mc():

@@ -81,8 +81,8 @@ def _lam(s: float, mu2: float) -> float:
 
 def _index_b(lam: float, mu2: float) -> complex:
     """b = sqrt(s)/2 at s = 1 + 8 lam/mu^2, for an eigenvalue that does not
-    come from the solver (an approximation, a finite-difference step);
-    raises :class:`DomainError` for lam > 0."""
+    come from the solver, such as an approximation's; raises
+    :class:`DomainError` for lam > 0."""
     if lam > 0.0:
         raise DomainError(f"eigenvalue must be nonpositive, got {lam}")
     return 0.5 * cmath.sqrt(1.0 + 8.0 * lam / mu2)

@@ -67,16 +67,6 @@ def build_solution(params: ModelParams) -> QsdSolution:
     return QsdSolution(params=params, se=se, denom=normalization(params, w0), w0=w0, w1=w1, w2=w2)
 
 
-def _density(x: float, sol: QsdSolution) -> float:
-    # the closed form at 0 < x <= A, unclamped
-    mu2 = sol.params.mu2
-    z = 2.0 / (mu2 * x)
-    if z > 1400.0:
-        return 0.0
-    # (1/x) e^{-z/2} W_1(z) = (mu^2 z^2 / 2) e^{-z} * scaled W
-    return 0.5 * mu2 * z * z * math.exp(-z) * whittaker_w_scaled(sol.w1, z) / sol.denom
-
-
 def pdf(x: float, sol: QsdSolution) -> float:
     """Density q(x); returns 0 outside (0, A) so callers may evaluate on
     arbitrary plotting grids.  q(0+) = 0 and q(A) = 0 exactly.  Clamped at
@@ -86,7 +76,12 @@ def pdf(x: float, sol: QsdSolution) -> float:
         if x != x:
             raise DomainError("position x must not be nan")
         return 0.0
-    q = _density(x, sol)
+    mu2 = sol.params.mu2
+    z = 2.0 / (mu2 * x)
+    if z > 1400.0:
+        return 0.0
+    # (1/x) e^{-z/2} W_1(z) = (mu^2 z^2 / 2) e^{-z} * scaled W
+    q = 0.5 * mu2 * z * z * math.exp(-z) * whittaker_w_scaled(sol.w1, z) / sol.denom
     return q if q > 0.0 else 0.0
 
 
@@ -176,15 +171,11 @@ def mode(sol: QsdSolution) -> float:
 
 
 def boundary_flux_identity(sol: QsdSolution) -> float:
-    """A^2 (mu^2/2) q'(A), with q'(A) from a one-sided 4-point stencil of
-    step 1e-5 A on the unclamped closed form, whose rounding offset at A the
-    stencil cancels.  Equals the dominant eigenvalue (tested at 1e-5
-    relative)."""
-    A, mu2 = sol.params.A, sol.params.mu2
-    h = 1e-5 * A
-    q0 = _density(A, sol)
-    q1 = _density(A - h, sol)
-    q2 = _density(A - 2.0 * h, sol)
-    q3 = _density(A - 3.0 * h, sol)
-    dq = (11.0 * q0 - 18.0 * q1 + 9.0 * q2 - 2.0 * q3) / (6.0 * h)
-    return A * A * 0.5 * mu2 * dq
+    """A^2 (mu^2/2) q'(A), from q'(x) = (mu^2/2)^2 z^2 e^{-z/2} W_{2,b}(z) / D
+    at z = 2/(mu^2 x) (the slope whose root is :func:`mode`): with z_A =
+    2/(mu^2 A) it is (mu^2/2) e^{-z_A} z_A^2 W~_2(z_A) / D, W~_2 the scaled
+    W_{2,b}.
+    Equals the dominant eigenvalue (tested at 3e-12 relative)."""
+    mu2 = sol.params.mu2
+    z_a = 2.0 / (mu2 * sol.params.A)
+    return 0.5 * mu2 * math.exp(-z_a) * z_a * z_a * whittaker_w_scaled(sol.w2, z_a) / sol.denom

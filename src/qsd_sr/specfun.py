@@ -293,6 +293,16 @@ def _w_terms(a: int, z: float) -> tuple:
     return [0.0, *ts[:n]], [0.5 * f * c0, *ws]
 
 
+def _index_derivative(idx: WhittakerIndex, z: float, k: int) -> complex:
+    """d^k/db^k of the scaled W_{a,b}(z) at the index (a, b): the terms of
+    :func:`_w_terms` differentiated in b, sum_j w_j t_j^k times cosh(b t_j)
+    for even k and sinh(b t_j) for odd k.  Complex, since for imaginary b
+    an odd derivative is imaginary."""
+    ts, ws = _w_terms(idx.a, z)
+    f = cmath.sinh if k % 2 else cmath.cosh
+    return sum(w * t**k * f(idx.b * t) for t, w in zip(ts, ws))
+
+
 def whittaker_w(idx: WhittakerIndex, z: float) -> float:
     """Whittaker function ``W_{a,b}(z)`` for z in [1e-100, 1e100], from
     :func:`whittaker_w_scaled`.  The result is real for all admissible

@@ -108,7 +108,7 @@ def test_criterion_4_exact_law_properties():
                 f"{tag}: {count_slope_sign_changes(pdf_vals)} slope sign changes"
             )
     failures += registry_failures(
-        "exact", [f"boundary_flux_mu{mu}_A{A:g}" for mu, A in EXACT_LAW_SWEEP], 1e-5)[0]
+        "exact", [f"boundary_flux_mu{mu}_A{A:g}" for mu, A in EXACT_LAW_SWEEP], 3e-12)[0]
     report("4 (exact-law properties)", failures, time.perf_counter() - t0, 60.0)
 
 
@@ -142,7 +142,7 @@ def test_criterion_6_index_derivative_identities():
     t0 = time.perf_counter()
     failures, _ = registry_failures(
         "identities", [f"index_derivative_k{k}_x{x:g}" for k in (1, 2, 3) for x in (0.5, 2.0, 10.0)],
-        1e-5)
+        3e-13)
     report("6 (index-derivative identities)", failures, time.perf_counter() - t0, 30.0)
 
 

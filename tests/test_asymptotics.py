@@ -21,7 +21,9 @@ from qsd_sr import (
     whittaker_expansion3,
     whittaker_w,
 )
+from qsd_sr import asymptotics, specfun
 from qsd_sr.asymptotics import approx_pdfs
+from qsd_sr.checks import SUITES
 from qsd_sr.eigensolver import _index_b
 
 
@@ -147,19 +149,51 @@ class TestIndexDerivatives:
     def test_against_numerical_derivatives(self):
         for k in (1, 2, 3):
             for x in (0.5, 2.0, 10.0):
-                assert index_derivative_check(k, x) < 1e-5, (k, x)
+                assert index_derivative_check(k, x) < 3e-13, (k, x)
 
     def test_first_identity_across_range(self):
         for x in np.linspace(0.1, 20.0, 24):
-            assert index_derivative_check(1, float(x)) < 1e-5, x
+            assert index_derivative_check(1, float(x)) < 3e-13, x
+
+    @pytest.mark.parametrize("x", [1500.0, 1e4, 1e6, 1e9])
+    def test_where_the_common_factor_underflows(self, x):
+        # e^{-x/2} is 0.0 from x = 1491 on; the check compares without it
+        assert index_derivative_identity(1, x) == 0.0
+        for k in (1, 2, 3):
+            assert index_derivative_check(k, x) < 3e-13, k
 
     def test_order_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="derivative order"):
             index_derivative_identity(4, 1.0)
-        with pytest.raises(DomainError):
-            index_derivative_identity(1, -1.0)
-        with pytest.raises(DomainError):
-            index_derivative_identity(1, math.nan)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, 0.0, -1.0])
+    def test_argument_must_be_finite_and_positive(self, x):
+        # the error names x, not the argument of G or of the Whittaker kernel
+        for k in (1, 2, 3):
+            with pytest.raises(DomainError, match="x must be finite and positive"):
+                index_derivative_identity(k, x)
+            with pytest.raises(DomainError, match="x must be finite and positive"):
+                index_derivative_check(k, x)
+        with pytest.raises(DomainError, match="x must be finite and positive"):
+            whittaker_expansion3(x, -0.01, ModelParams(mu=1.0, A=20.0))
+
+    @pytest.mark.parametrize("target", ["G", "kernel terms"])
+    def test_identities_suite_catches_a_relative_error_of_1e_9(self, target, monkeypatch):
+        # G enters the k = 2 and 3 closed forms, the kernel's terms the
+        # kernel side of all three
+        if target == "G":
+            g = asymptotics.meijer_g_special
+            monkeypatch.setattr(asymptotics, "meijer_g_special", lambda x: g(x) * (1.0 + 1e-9))
+        else:
+            w_terms = specfun._w_terms
+
+            def scaled_terms(a, z):
+                ts, ws = w_terms(a, z)
+                return ts, [w * (1.0 + 1e-9) for w in ws]
+
+            monkeypatch.setattr(specfun, "_w_terms", scaled_terms)
+        failed = [c["name"] for c in SUITES["identities"]() if c["status"] == "fail"]
+        assert any(name.startswith("index_derivative") for name in failed), failed
 
 
 class TestPdfApprox:

@@ -216,14 +216,14 @@ class TestValidate:
                  for n, t in (("eigenvalue", 1e-10), ("lambda_order1", 1e-9),
                               ("lambda_order2", 1e-9), ("lambda_order3", 1e-9))]
         exact += [(f"{n}_mu{mu}_A{a}", t) for mu in ("0.5", "1.0", "1.5") for a in (5, 20, 100)
-                  for n, t in (("normalization", 1e-8), ("boundary_flux", 1e-5))]
+                  for n, t in (("normalization", 1e-8), ("boundary_flux", 3e-12))]
         identities = [(f"integral_identity_{bz}", 1e-8)
                       for bz in ("b0.2_z1.0", "b0.5_z2.0", "b0.25j_z0.5")]
-        identities += [(f"index_derivative_k{k}_x{x}", 1e-5)
+        identities += [(f"index_derivative_k{k}_x{x}", 3e-13)
                        for k in (1, 2, 3) for x in ("0.5", "2", "10")]
         identities += [("meijer_g_tail_form_x2", 1e-9)]
-        sl = [(n, 1e-4) for n in
-              ("sl_eigenvalue_relative", "sl_density_sup_deviation", "norm_identity_relative")]
+        sl = [("sl_eigenvalue_relative", 1e-4), ("sl_density_sup_deviation", 1e-4),
+              ("norm_identity_relative", 5e-12)]
         want = [(n, group, t, "pass")
                 for group, named in (("exact", exact), ("identities", identities), ("sl", sl))
                 for n, t in named]

@@ -294,7 +294,7 @@ class TestBoundaryFlux:
     def test_matches_eigenvalue(self, sol_mu1_A20):
         flux = boundary_flux_identity(sol_mu1_A20)
         lam = sol_mu1_A20.se.lam
-        assert abs(flux - lam) / abs(lam) < 1e-5
+        assert abs(flux - lam) / abs(lam) < 3e-12
         assert flux < 0.0  # density decreasing at the absorbing threshold
 
     def test_flat_at_origin(self, sol_mu1_A20):

@@ -47,6 +47,7 @@ from qsd_sr.specfun import (
     _Z_MIN,
     _g_laguerre,
     _g_series,
+    _index_derivative,
     _w_terms,
 )
 
@@ -365,6 +366,31 @@ class TestIndexReuse:
                 val = whittaker_w_scaled(idx, z)
                 assert math.isfinite(val)
                 assert val == whittaker_w_scaled(WhittakerIndex(a, 1e-9), z)
+
+
+class TestIndexDerivative:
+    @pytest.mark.parametrize("b", [0.3, 0.5, 0.4j, 3.5565j])
+    @pytest.mark.parametrize("z", [0.5, 2.0, 12.0, Z_HANDOFF - 0.1, Z_HANDOFF + 0.1, 25.0, 60.0])
+    def test_against_centered_differences(self, b, z):
+        # the b-derivatives of the scaled W against Richardson-combined
+        # centered differences in b, steps 1e-2 and 5e-3 (along the
+        # imaginary axis for imaginary b), whose rounding error for k = 3
+        # reaches 2e-7 of sum |w_j| t_j^k
+        h = 1e-2j if isinstance(b, complex) else 1e-2
+        ts, ws = _w_terms(1, z)
+
+        def w(j, step):
+            return whittaker_w_scaled(WhittakerIndex(1, b + j * step), z)
+
+        stencils = {
+            1: lambda s: (w(1, s) - w(-1, s)) / (2.0 * s),
+            2: lambda s: (w(1, s) - 2.0 * w(0, s) + w(-1, s)) / (s * s),
+            3: lambda s: (w(2, s) - 2.0 * w(1, s) + 2.0 * w(-1, s) - w(-2, s)) / (2.0 * s**3),
+        }
+        for k, stencil in stencils.items():
+            numeric = (4.0 * stencil(0.5 * h) - stencil(h)) / 3.0
+            scale = sum(abs(wj) * tj**k for tj, wj in zip(ts, ws))
+            assert abs(_index_derivative(WhittakerIndex(1, b), z, k) - numeric) < 1e-6 * scale, k
 
 
 # ---------------------------------------------------------------------------
