@@ -9,7 +9,8 @@ kernel:
   a symmetric tridiagonal eigenproblem by inverse iteration with odd-even
   cyclic reduction, and
 * a Monte-Carlo simulator of the killed diffusion dR = dt + mu R dB that
-  advances all paths as one array on one seeded stream.
+  splits the paths into MC_STREAMS parts, each advanced as one array on its
+  own seeded substream in its own thread.
 
 Everything here needs numpy and nothing else.  The pure-Python quadrature
 and identity residuals live in :mod:`qsd_sr.checks`.
@@ -39,9 +40,12 @@ __all__ = [
 # with subnormal-range blocks).
 _LEFT_EXPONENT_CAP = 80.0
 
-# Monte Carlo: noise is drawn in blocks of at most this many float32 normals
-# (1 MB), so the constant fixes the draw layout and every sample.
+# Monte Carlo: the paths are split into MC_STREAMS parts, each on its own
+# substream of the seed, and each part draws its noise in blocks of at most
+# MC_BLOCK // MC_STREAMS float32 normals (1 MB in all).  Both are constants,
+# not the core count, so they fix the draw layout and every sample.
 MC_BLOCK = 2**18
+MC_STREAMS = 2
 
 
 class GridSolution(namedtuple("GridSolution", "grid lambda_hat q_hat")):
@@ -185,27 +189,29 @@ def sturm_liouville_eigen(params: ModelParams, n_grid: int) -> GridSolution:
     return GridSolution(grid=grid, lambda_hat=lam_hat, q_hat=q_hat)
 
 
-def _survivors(rng, params, r, dt, n_paths, n_steps):
-    """All paths advance as one float32 array R on the normals of ``rng``,
-    drawn k = MC_BLOCK // R.size steps at a time; a running maximum kills at
-    the end of each block every path that reached A at any grid step of it.
-    Per-step rounding (~1e-7 relative) is far below the statistical
-    tolerances this simulator serves."""
-    c, dt32, A32 = np.float32(params.mu * math.sqrt(dt)), np.float32(dt), np.float32(params.A)
-    R = np.full(n_paths, np.float32(r))
+def _advance(rng, R, c, dt32, A32, n_steps, buf):
+    """Advance the float32 paths R (in place) on the normals of ``rng``,
+    drawn into ``buf`` k = buf.size // R.size steps at a time; a running
+    maximum kills at the end of each block every path that reached A at any
+    grid step of it.  Returns the survivors.  Per-step rounding (~1e-7
+    relative) is far below the statistical tolerances this simulator
+    serves."""
+    M = np.empty_like(R)
     while n_steps and R.size:
-        k = max(1, min(n_steps, MC_BLOCK // R.size))
-        F = rng.standard_normal((k, R.size), dtype=np.float32)
+        k = max(1, min(n_steps, buf.size // R.size))
+        F = buf[: k * R.size].reshape(k, R.size)
+        rng.standard_normal(out=F, dtype=np.float32)
         F *= c
-        F += 1  # F = 1 + mu sqrt(dt) xi in place: the block is the only buffer
-        M = R.copy()  # a headstart at or above A dies with the first block
+        F += 1  # F = 1 + mu sqrt(dt) xi in place
+        M = M[: R.size]
+        np.copyto(M, R)  # a headstart at or above A dies with the first block
         for f in F:
             R *= f
             R += dt32
             np.maximum(M, R, out=M)
         R = R[M < A32]
         n_steps -= k
-    return R.astype(np.float64)
+    return R
 
 
 def simulate_killed_sr(
@@ -220,19 +226,33 @@ def simulate_killed_sr(
 
     Paths follow R_{k+1} = R_k + dt + mu R_k sqrt(dt) xi_k and are killed on
     the first step that reaches the threshold; the conditional law of the
-    survivors at the horizon is returned as the sorted sample values.  All
-    paths share the stream ``np.random.default_rng(seed)`` drawn in blocks
-    of MC_BLOCK normals, so the result is reproducible bit-for-bit for a
-    given seed.
+    survivors at the horizon is returned as the sorted sample values.  The
+    paths are split into MC_STREAMS parts as ``np.array_split`` does; part i
+    runs in its own thread on ``default_rng(SeedSequence(seed).spawn(MC_STREAMS)[i])``
+    (:func:`_advance`).  numpy's normal fill and array arithmetic release the
+    GIL, so the parts share the cores, and the result is bit-for-bit the
+    same for a given seed on any number of cores.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if not (0.0 <= r < params.A):
         raise DomainError(f"headstart must lie in [0, A), got {r}")
     if not (0.0 < dt and 10.0 * dt < T and math.isfinite(T / dt)):
         raise DomainError(f"need finite dt > 0 and horizon T > 10 dt, got dt={dt}, T={T}")
-    if not all(isinstance(v, Integral) for v in (n_paths, seed)) or n_paths < 1 or seed < 0:
+    if (not all(isinstance(v, Integral) and not isinstance(v, bool) for v in (n_paths, seed))
+            or n_paths < 1 or seed < 0):
         raise DomainError(f"need integers n_paths >= 1 and seed >= 0, got {n_paths!r}, {seed!r}")
     n_steps = int(round(T / dt))
-    survivors = _survivors(np.random.default_rng(seed), params, r, dt, n_paths, n_steps)
+    c, dt32, A32 = np.float32(params.mu * math.sqrt(dt)), np.float32(dt), np.float32(params.A)
+    parts = np.array_split(np.full(n_paths, np.float32(r)), MC_STREAMS)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(MC_STREAMS)]
+    # the blocks are allocated here, not in the workers: blocks freed in a
+    # worker stay in that thread's malloc arena and raise the peak RSS
+    bufs = [np.empty(max(MC_BLOCK // MC_STREAMS, R.size), np.float32) for R in parts]
+    with ThreadPoolExecutor(MC_STREAMS) as pool:
+        done = pool.map(lambda rng, R, buf: _advance(rng, R, c, dt32, A32, n_steps, buf),
+                        rngs, parts, bufs)
+        survivors = np.concatenate(list(done)).astype(np.float64)
     if survivors.size == 0:
         raise NoSurvivorsError(
             f"no surviving paths at horizon T={T} (n_paths={n_paths}); "

@@ -62,6 +62,18 @@ def test_validate_with_every_suite_skipped_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_validate_without_monte_carlo_loads_no_thread_pool():
+    # the simulator imports concurrent.futures on its first call
+    proc = run_fresh(
+        "import os, sys\n"
+        "before = set(sys.modules)\n"
+        "from qsd_sr.cli import main\n"
+        "assert main(['validate', '--skip', 'mc', '--out', os.devnull]) == 0\n"
+        "assert 'concurrent.futures' not in set(sys.modules) - before\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_pure_python_suites_run_with_numpy_blocked():
     # the quadrature rule and the identity residuals live in checks, not in
     # the numpy oracles

@@ -1,6 +1,9 @@
 import hashlib
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,38 +198,82 @@ class TestSimulation:
             simulate_killed_sr(params_mu1_A20, r=-1.0, dt=1e-2, T=5.0, n_paths=10, seed=1)
 
     @pytest.mark.parametrize("kwargs", [
-        {"T": math.inf}, {"n_paths": 2.5}, {"seed": -1},
-    ], ids=["horizon-inf", "paths-fraction", "seed-negative"])
+        {"T": math.inf}, {"n_paths": 2.5}, {"seed": -1}, {"n_paths": True}, {"seed": True},
+    ], ids=["horizon-inf", "paths-fraction", "seed-negative", "paths-bool", "seed-bool"])
     def test_bad_arguments_are_domain_errors(self, params_mu1_A20, kwargs):
         args = dict(r=5.0, dt=1e-2, T=5.0, n_paths=10, seed=1) | kwargs
         with pytest.raises(DomainError):
             simulate_killed_sr(params_mu1_A20, **args)
 
     def test_layout_pinned(self):
-        # two noise blocks (7084 steps at 37 paths, then the rest); any
+        # two parts of 19 and 18 paths on the two substreams of seed 3, each
+        # in two noise blocks (6898 and 7281 steps, then the rest); any
         # change to the draw layout changes this digest and must be deliberate
         law = simulate_killed_sr(ModelParams(mu=1.0, A=100.0), r=5.0, dt=1e-2, T=90.0,
                                  n_paths=37, seed=3)
-        assert law.n_survivors == 14
+        assert law.n_survivors == 16
         assert (hashlib.sha256(law.samples.tobytes()).hexdigest()
-                == "40e821fbbaf6e4db80c7928cd790d770821985aa69cf550fb35ba9b17438cd1e")
+                == "77eaaa059c2ddf5f3231c5c965b6633286118b9148f519b3b4a95c769107e07a")
+
+    @staticmethod
+    def serial_reference(params, r, dt, T, n_paths, seed):
+        """The two parts advanced one after another on this thread, each on
+        its own substream and its own block."""
+        c, dt32, A32 = np.float32(params.mu * math.sqrt(dt)), np.float32(dt), np.float32(params.A)
+        n_steps = int(round(T / dt))
+        parts = np.array_split(np.full(n_paths, np.float32(r)), 2)
+        out = [
+            oracle._advance(np.random.default_rng(seq), R, c, dt32, A32, n_steps,
+                            np.empty(max(oracle.MC_BLOCK // 2, R.size), np.float32))
+            for seq, R in zip(np.random.SeedSequence(seed).spawn(2), parts)
+        ]
+        return np.sort(np.concatenate(out).astype(np.float64))
+
+    @pytest.mark.parametrize("n_paths, T", [(4001, 10.0), (300_001, 0.12), (1, 0.5)],
+                             ids=["many-blocks", "part-over-block", "one-path"])
+    def test_threads_match_serial_parts(self, params_mu1_A20, n_paths, T):
+        # a generator or block shared between the threads would change the
+        # draws; a part larger than its block takes one step per block
+        args = (params_mu1_A20, 5.0, 1e-2, T, n_paths, 8)
+        law = simulate_killed_sr(*args)
+        assert law.n_survivors > 0
+        assert np.array_equal(law.samples, self.serial_reference(*args))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_one_cpu_gives_the_same_samples(self, params_mu1_A20):
+        script = (
+            "import hashlib, os\n"
+            "from qsd_sr import ModelParams, simulate_killed_sr\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "law = simulate_killed_sr(ModelParams(1.0, 20.0), r=5.0, dt=1e-2, T=5.0,\n"
+            "                         n_paths=40000, seed=9)\n"
+            "print(len(os.sched_getaffinity(0)), hashlib.sha256(law.samples.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        law = simulate_killed_sr(params_mu1_A20, r=5.0, dt=1e-2, T=5.0, n_paths=40000, seed=9)
+        assert proc.stdout.split() == ["1", hashlib.sha256(law.samples.tobytes()).hexdigest()]
 
     def test_touching_threshold_inside_a_block_kills(self):
         class FixedDraws:
             def __init__(self, xi):
                 self.xi = xi
 
-            def standard_normal(self, size, dtype):
+            def standard_normal(self, out, dtype):
                 # one call for the whole run: every step lies in one block
-                assert size == self.xi.shape and dtype == np.float32
-                return self.xi.copy()
+                assert out.shape == self.xi.shape and dtype == np.float32
+                out[...] = self.xi
 
         mu, A, r, dt, n_paths, n_steps = 1.0, 20.0, 5.0, 1e-2, 8, 50
         xi = np.random.default_rng(0).standard_normal((n_steps, n_paths), dtype=np.float32)
         xi[3, 0], xi[4, 0] = 40.0, -9.0  # path 0 jumps above A, then back below
-        got = oracle._survivors(FixedDraws(xi), ModelParams(mu=mu, A=A), r, dt, n_paths, n_steps)
-
         c, dt32, A32 = np.float32(mu * math.sqrt(dt)), np.float32(dt), np.float32(A)
+        got = oracle._advance(FixedDraws(xi), np.full(n_paths, np.float32(r)), c, dt32, A32,
+                              n_steps, np.empty(xi.size, np.float32))
+
         free = np.full(n_paths, np.float32(r))  # the same paths without the kill
         R, alive = free.copy(), np.arange(n_paths)
         peak = free.copy()
@@ -237,7 +284,7 @@ class TestSimulation:
             alive, R = alive[R < A32], R[R < A32]
         assert peak[0] >= A32 and free[0] < A32
         assert 0 not in alive
-        assert got.size == alive.size and np.array_equal(got, R.astype(np.float64))
+        assert got.size == alive.size and np.array_equal(got, R)
 
     def test_ks_smoke(self, sol_mu1_A20, params_mu1_A20):
         # coarse run; the full-size statistical gate lives in acceptance
