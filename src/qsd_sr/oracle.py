@@ -8,9 +8,10 @@ kernel:
   zero flux on the first cell face and a Dirichlet condition at A, solved as
   a symmetric tridiagonal eigenproblem by inverse iteration with odd-even
   cyclic reduction, and
-* a Monte-Carlo simulator of the killed diffusion dR = dt + mu R dB that
-  splits the paths into MC_STREAMS parts, each advanced as one array on its
-  own seeded substream in its own thread.
+* a Monte-Carlo simulator of the killed diffusion dR = dt + mu R dB by
+  two-point weak Euler steps (one random bit per path-step) that splits the
+  paths into MC_STREAMS parts, each advanced as one array on its own seeded
+  substream in its own thread.
 
 Everything here needs numpy and nothing else.  The pure-Python quadrature
 and identity residuals live in :mod:`qsd_sr.checks`.
@@ -42,8 +43,9 @@ _LEFT_EXPONENT_CAP = 80.0
 
 # Monte Carlo: the paths are split into MC_STREAMS parts, each on its own
 # substream of the seed, and each part draws its noise in blocks of at most
-# MC_BLOCK // MC_STREAMS float32 normals (1 MB in all).  Both are constants,
-# not the core count, so they fix the draw layout and every sample.
+# MC_BLOCK // MC_STREAMS path-steps: that many random bits, expanded into
+# float32 step factors (1 MB in all).  Both are constants, not the core
+# count, so they fix the draw layout and every sample.
 MC_BLOCK = 2**18
 MC_STREAMS = 2
 
@@ -190,19 +192,24 @@ def sturm_liouville_eigen(params: ModelParams, n_grid: int) -> GridSolution:
 
 
 def _advance(rng, R, c, dt32, A32, n_steps, buf):
-    """Advance the float32 paths R (in place) on the normals of ``rng``,
-    drawn into ``buf`` k = buf.size // R.size steps at a time; a running
-    maximum kills at the end of each block every path that reached A at any
-    grid step of it.  Returns the survivors.  Per-step rounding (~1e-7
-    relative) is far below the statistical tolerances this simulator
-    serves."""
+    """Advance the float32 paths R (in place) by two-point steps
+    R <- R (1 + c) + dt or R (1 - c) + dt, one random bit of ``rng`` per
+    path-step, k = buf.size // R.size steps at a time; a running maximum
+    kills at the end of each block every path that reached A at any grid
+    step of it.  Returns the survivors.  Per-step rounding (~1e-7 relative)
+    is far below the statistical tolerances this simulator serves."""
+    down = 1 - c
+    # for |c| <= 1/2 both factors are multiples of 2**-24 in [1/2, 3/2], so
+    # jump is exact and F is fl(1 + c) or fl(1 - c); above, the up factor
+    # may be one ulp off
+    jump = (1 + c) - down
     M = np.empty_like(R)
     while n_steps and R.size:
         k = max(1, min(n_steps, buf.size // R.size))
-        F = buf[: k * R.size].reshape(k, R.size)
-        rng.standard_normal(out=F, dtype=np.float32)
-        F *= c
-        F += 1  # F = 1 + mu sqrt(dt) xi in place
+        m = k * R.size
+        bits = np.unpackbits(np.frombuffer(rng.bytes((m + 7) // 8), np.uint8), count=m)
+        F = np.multiply(bits, jump, out=buf[:m]).reshape(k, R.size)
+        F += down  # bit 1 is the up step
         M = M[: R.size]
         np.copyto(M, R)  # a headstart at or above A dies with the first block
         for f in F:
@@ -222,16 +229,20 @@ def simulate_killed_sr(
     n_paths: int,
     seed: int,
 ) -> EmpiricalLaw:
-    """Euler-Maruyama simulation of the killed diffusion.
+    """Weak Euler simulation of the killed diffusion with two-point noise.
 
-    Paths follow R_{k+1} = R_k + dt + mu R_k sqrt(dt) xi_k and are killed on
-    the first step that reaches the threshold; the conditional law of the
-    survivors at the horizon is returned as the sorted sample values.  The
-    paths are split into MC_STREAMS parts as ``np.array_split`` does; part i
-    runs in its own thread on ``default_rng(SeedSequence(seed).spawn(MC_STREAMS)[i])``
-    (:func:`_advance`).  numpy's normal fill and array arithmetic release the
-    GIL, so the parts share the cores, and the result is bit-for-bit the
-    same for a given seed on any number of cores.
+    Paths follow R_{k+1} = R_k + dt + mu R_k sqrt(dt) xi_k with xi_k = +-1
+    equally likely (Kloeden and Platen, Numerical Solution of SDEs, 14.1),
+    and are killed on the first step that reaches the threshold; the
+    conditional law of the survivors at the horizon is returned as the
+    sorted sample values.  |mu| sqrt(dt) < 1 is required, which keeps every
+    path positive.  The paths are split into MC_STREAMS parts as
+    ``np.array_split`` does; part i runs in its own thread on
+    ``default_rng(SeedSequence(seed).spawn(MC_STREAMS)[i])``
+    (:func:`_advance`).  The steps use only integer bits and correctly
+    rounded float32 products and sums, so the result is bit-for-bit the same
+    for a given seed on any number of cores and under any of numpy's SIMD
+    dispatch levels.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -239,6 +250,9 @@ def simulate_killed_sr(
         raise DomainError(f"headstart must lie in [0, A), got {r}")
     if not (0.0 < dt and 10.0 * dt < T and math.isfinite(T / dt)):
         raise DomainError(f"need finite dt > 0 and horizon T > 10 dt, got dt={dt}, T={T}")
+    if not abs(params.mu) * math.sqrt(dt) < 1.0:
+        raise DomainError(f"need |mu| sqrt(dt) < 1 so that the steps keep R > 0, "
+                          f"got mu={params.mu}, dt={dt}")
     if (not all(isinstance(v, Integral) and not isinstance(v, bool) for v in (n_paths, seed))
             or n_paths < 1 or seed < 0):
         raise DomainError(f"need integers n_paths >= 1 and seed >= 0, got {n_paths!r}, {seed!r}")

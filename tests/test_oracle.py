@@ -208,12 +208,35 @@ class TestSimulation:
     def test_layout_pinned(self):
         # two parts of 19 and 18 paths on the two substreams of seed 3, each
         # in two noise blocks (6898 and 7281 steps, then the rest); any
-        # change to the draw layout changes this digest and must be deliberate
+        # change to the draw layout or the step law changes this digest and
+        # must be deliberate
         law = simulate_killed_sr(ModelParams(mu=1.0, A=100.0), r=5.0, dt=1e-2, T=90.0,
                                  n_paths=37, seed=3)
-        assert law.n_survivors == 16
+        assert law.n_survivors == 17
         assert (hashlib.sha256(law.samples.tobytes()).hexdigest()
-                == "77eaaa059c2ddf5f3231c5c965b6633286118b9148f519b3b4a95c769107e07a")
+                == "70c247f7220a2635568cda9c0b86c16a397886d2ec1bdf94439de9145d4a25b3")
+
+    def test_step_law(self):
+        # one block of 1000 steps of 1000 paths that nobody leaves: the
+        # block's factors are left in buf, and they must be the two values
+        # fl(1 +- c), each taken with probability 1/2
+        c, n = np.float32(0.1), 1000
+        buf = np.empty(n * n, np.float32)
+        oracle._advance(np.random.default_rng(7), np.ones(n, np.float32), c, np.float32(1e-2),
+                        np.float32(np.inf), n, buf)
+        up, down = np.float32(1) + c, np.float32(1) - c
+        assert set(np.unique(buf).tolist()) == {float(up), float(down)}
+        assert abs(np.count_nonzero(buf == up) / buf.size - 0.5) < 5 * 0.5 / math.sqrt(buf.size)
+
+    def test_paths_stay_positive(self):
+        # |mu| sqrt(dt) = 0.4: the down factor 0.6 keeps every path positive;
+        # at 1.5 it would be negative, so that step size is refused
+        law = simulate_killed_sr(ModelParams(mu=4.0, A=20.0), r=5.0, dt=1e-2, T=1.0,
+                                 n_paths=2000, seed=1)
+        assert law.n_survivors > 0 and law.samples[0] > 0.0
+        with pytest.raises(DomainError, match="sqrt"):
+            simulate_killed_sr(ModelParams(mu=15.0, A=20.0), r=5.0, dt=1e-2, T=1.0,
+                               n_paths=2000, seed=1)
 
     @staticmethod
     def serial_reference(params, r, dt, T, n_paths, seed):
@@ -258,29 +281,30 @@ class TestSimulation:
         assert proc.stdout.split() == ["1", hashlib.sha256(law.samples.tobytes()).hexdigest()]
 
     def test_touching_threshold_inside_a_block_kills(self):
-        class FixedDraws:
-            def __init__(self, xi):
-                self.xi = xi
+        class FixedBits:
+            def __init__(self, bits):
+                self.bits = bits
 
-            def standard_normal(self, out, dtype):
+            def bytes(self, n):
                 # one call for the whole run: every step lies in one block
-                assert out.shape == self.xi.shape and dtype == np.float32
-                out[...] = self.xi
+                assert n == (self.bits.size + 7) // 8
+                return np.packbits(self.bits).tobytes()
 
         mu, A, r, dt, n_paths, n_steps = 1.0, 20.0, 5.0, 1e-2, 8, 50
-        xi = np.random.default_rng(0).standard_normal((n_steps, n_paths), dtype=np.float32)
-        xi[3, 0], xi[4, 0] = 40.0, -9.0  # path 0 jumps above A, then back below
+        bits = np.random.default_rng(0).integers(0, 2, (n_steps, n_paths), dtype=np.uint8)
+        bits[:16, 0], bits[16:, 0] = 1, 0  # path 0 climbs above A, then falls back below
         c, dt32, A32 = np.float32(mu * math.sqrt(dt)), np.float32(dt), np.float32(A)
-        got = oracle._advance(FixedDraws(xi), np.full(n_paths, np.float32(r)), c, dt32, A32,
-                              n_steps, np.empty(xi.size, np.float32))
+        got = oracle._advance(FixedBits(bits), np.full(n_paths, np.float32(r)), c, dt32, A32,
+                              n_steps, np.empty(bits.size, np.float32))
 
+        factors = np.where(bits == 1, np.float32(1) + c, np.float32(1) - c)
         free = np.full(n_paths, np.float32(r))  # the same paths without the kill
         R, alive = free.copy(), np.arange(n_paths)
         peak = free.copy()
-        for row in xi:
-            free = free * (1 + c * row) + dt32
+        for row in factors:
+            free = free * row + dt32
             peak = np.maximum(peak, free)
-            R = R * (1 + c * row[alive]) + dt32
+            R = R * row[alive] + dt32
             alive, R = alive[R < A32], R[R < A32]
         assert peak[0] >= A32 and free[0] < A32
         assert 0 not in alive
