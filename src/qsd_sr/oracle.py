@@ -9,9 +9,8 @@ kernel:
   a symmetric tridiagonal eigenproblem by inverse iteration with odd-even
   cyclic reduction, and
 * a Monte-Carlo simulator of the killed diffusion dR = dt + mu R dB by
-  two-point weak Euler steps (one random bit per path-step) that splits the
-  paths into MC_STREAMS parts, each advanced as one array on its own seeded
-  substream in its own thread.
+  two-point weak Euler steps (one random bit per path-step) that advances
+  all the paths as one array on one seeded stream.
 
 Everything here needs numpy and nothing else.  The pure-Python quadrature
 and identity residuals live in :mod:`qsd_sr.checks`.
@@ -41,13 +40,12 @@ __all__ = [
 # with subnormal-range blocks).
 _LEFT_EXPONENT_CAP = 80.0
 
-# Monte Carlo: the paths are split into MC_STREAMS parts, each on its own
-# substream of the seed, and each part draws its noise in blocks of at most
-# MC_BLOCK // MC_STREAMS path-steps: that many random bits, expanded into
-# float32 step factors (1 MB in all).  Both are constants, not the core
-# count, so they fix the draw layout and every sample.
-MC_BLOCK = 2**18
-MC_STREAMS = 2
+# Monte Carlo: the noise is drawn in blocks of k = MC_BLOCK // alive steps
+# (at least one) of the alive paths, one random bit per path-step, unpacked
+# to one byte each and expanded into float32 step factors: 5 bytes per
+# path-step, 5 MB for a full block.  It is a constant, not the core or path
+# count, so it fixes the draw layout and every sample.
+MC_BLOCK = 2**20
 
 
 class GridSolution(namedtuple("GridSolution", "grid lambda_hat q_hat")):
@@ -191,21 +189,23 @@ def sturm_liouville_eigen(params: ModelParams, n_grid: int) -> GridSolution:
     return GridSolution(grid=grid, lambda_hat=lam_hat, q_hat=q_hat)
 
 
-def _advance(rng, R, c, dt32, A32, n_steps, buf):
+def _advance(rng, R, c, dt32, A32, n_steps):
     """Advance the float32 paths R (in place) by two-point steps
     R <- R (1 + c) + dt or R (1 - c) + dt, one random bit of ``rng`` per
-    path-step, k = buf.size // R.size steps at a time; a running maximum
-    kills at the end of each block every path that reached A at any grid
-    step of it.  Returns the survivors.  Per-step rounding (~1e-7 relative)
-    is far below the statistical tolerances this simulator serves."""
+    path-step, in blocks of k = MC_BLOCK // R.size steps (at least one) whose
+    bits are one ``rng.bytes`` call; a running maximum kills at the end of
+    each block every path that reached A at any grid step of it.  Returns
+    the survivors.  Per-step rounding (~1e-7 relative) is far below the
+    statistical tolerances this simulator serves."""
     down = 1 - c
     # for |c| <= 1/2 both factors are multiples of 2**-24 in [1/2, 3/2], so
     # jump is exact and F is fl(1 + c) or fl(1 - c); above, the up factor
     # may be one ulp off
     jump = (1 + c) - down
+    buf = np.empty(max(MC_BLOCK, R.size), np.float32)
     M = np.empty_like(R)
     while n_steps and R.size:
-        k = max(1, min(n_steps, buf.size // R.size))
+        k = max(1, min(n_steps, MC_BLOCK // R.size))
         m = k * R.size
         bits = np.unpackbits(np.frombuffer(rng.bytes((m + 7) // 8), np.uint8), count=m)
         F = np.multiply(bits, jump, out=buf[:m]).reshape(k, R.size)
@@ -236,16 +236,12 @@ def simulate_killed_sr(
     and are killed on the first step that reaches the threshold; the
     conditional law of the survivors at the horizon is returned as the
     sorted sample values.  |mu| sqrt(dt) < 1 is required, which keeps every
-    path positive.  The paths are split into MC_STREAMS parts as
-    ``np.array_split`` does; part i runs in its own thread on
-    ``default_rng(SeedSequence(seed).spawn(MC_STREAMS)[i])``
+    path positive.  All the paths are advanced as one array on
+    ``default_rng(seed)``, in blocks of MC_BLOCK // alive steps
     (:func:`_advance`).  The steps use only integer bits and correctly
     rounded float32 products and sums, so the result is bit-for-bit the same
-    for a given seed on any number of cores and under any of numpy's SIMD
-    dispatch levels.
+    for a given seed under any of numpy's SIMD dispatch levels.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     if not (0.0 <= r < params.A):
         raise DomainError(f"headstart must lie in [0, A), got {r}")
     if not (0.0 < dt and 10.0 * dt < T and math.isfinite(T / dt)):
@@ -258,15 +254,8 @@ def simulate_killed_sr(
         raise DomainError(f"need integers n_paths >= 1 and seed >= 0, got {n_paths!r}, {seed!r}")
     n_steps = int(round(T / dt))
     c, dt32, A32 = np.float32(params.mu * math.sqrt(dt)), np.float32(dt), np.float32(params.A)
-    parts = np.array_split(np.full(n_paths, np.float32(r)), MC_STREAMS)
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(MC_STREAMS)]
-    # the blocks are allocated here, not in the workers: blocks freed in a
-    # worker stay in that thread's malloc arena and raise the peak RSS
-    bufs = [np.empty(max(MC_BLOCK // MC_STREAMS, R.size), np.float32) for R in parts]
-    with ThreadPoolExecutor(MC_STREAMS) as pool:
-        done = pool.map(lambda rng, R, buf: _advance(rng, R, c, dt32, A32, n_steps, buf),
-                        rngs, parts, bufs)
-        survivors = np.concatenate(list(done)).astype(np.float64)
+    survivors = _advance(np.random.default_rng(seed), np.full(n_paths, np.float32(r)),
+                         c, dt32, A32, n_steps).astype(np.float64)
     if survivors.size == 0:
         raise NoSurvivorsError(
             f"no surviving paths at horizon T={T} (n_paths={n_paths}); "

@@ -63,13 +63,16 @@ def test_validate_with_every_suite_skipped_loads_no_numpy():
 
 
 def test_validate_without_monte_carlo_loads_no_thread_pool():
-    # the simulator imports concurrent.futures on its first call
+    # nor does the simulator: it runs on the calling thread
     proc = run_fresh(
-        "import os, sys\n"
+        "import os, sys, threading\n"
         "before = set(sys.modules)\n"
         "from qsd_sr.cli import main\n"
         "assert main(['validate', '--skip', 'mc', '--out', os.devnull]) == 0\n"
+        "from qsd_sr import ModelParams, simulate_killed_sr\n"
+        "simulate_killed_sr(ModelParams(1.0, 20.0), r=5.0, dt=1e-2, T=1.0, n_paths=100, seed=1)\n"
         "assert 'concurrent.futures' not in set(sys.modules) - before\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
     )
     assert proc.returncode == 0, proc.stderr
 

@@ -206,27 +206,25 @@ class TestSimulation:
             simulate_killed_sr(params_mu1_A20, **args)
 
     def test_layout_pinned(self):
-        # two parts of 19 and 18 paths on the two substreams of seed 3, each
-        # in two noise blocks (6898 and 7281 steps, then the rest); any
-        # change to the draw layout or the step law changes this digest and
-        # must be deliberate
+        # 37 paths on the stream of seed 3, all 9000 steps in one noise block
+        # (MC_BLOCK // 37 = 28339 steps); any change to the draw layout or
+        # the step law changes this digest and must be deliberate
         law = simulate_killed_sr(ModelParams(mu=1.0, A=100.0), r=5.0, dt=1e-2, T=90.0,
                                  n_paths=37, seed=3)
-        assert law.n_survivors == 17
+        assert law.n_survivors == 12
         assert (hashlib.sha256(law.samples.tobytes()).hexdigest()
-                == "70c247f7220a2635568cda9c0b86c16a397886d2ec1bdf94439de9145d4a25b3")
+                == "dade9cf27ab373deaea6c3d94420b3c157162b15a1da76d7070ba618a6c9ea04")
 
     def test_step_law(self):
-        # one block of 1000 steps of 1000 paths that nobody leaves: the
-        # block's factors are left in buf, and they must be the two values
-        # fl(1 +- c), each taken with probability 1/2
-        c, n = np.float32(0.1), 1000
-        buf = np.empty(n * n, np.float32)
-        oracle._advance(np.random.default_rng(7), np.ones(n, np.float32), c, np.float32(1e-2),
-                        np.float32(np.inf), n, buf)
+        # one step of 10**6 paths from R = 1 with dt = 0 that nobody leaves
+        # returns the factors themselves: the two values fl(1 +- c), each
+        # taken with probability 1/2
+        c, n = np.float32(0.1), 10**6
+        F = oracle._advance(np.random.default_rng(7), np.ones(n, np.float32), c, np.float32(0),
+                            np.float32(np.inf), 1)
         up, down = np.float32(1) + c, np.float32(1) - c
-        assert set(np.unique(buf).tolist()) == {float(up), float(down)}
-        assert abs(np.count_nonzero(buf == up) / buf.size - 0.5) < 5 * 0.5 / math.sqrt(buf.size)
+        assert F.size == n and set(np.unique(F).tolist()) == {float(up), float(down)}
+        assert abs(np.count_nonzero(F == up) / n - 0.5) < 5 * 0.5 / math.sqrt(n)
 
     def test_paths_stay_positive(self):
         # |mu| sqrt(dt) = 0.4: the down factor 0.6 keeps every path positive;
@@ -238,47 +236,64 @@ class TestSimulation:
             simulate_killed_sr(ModelParams(mu=15.0, A=20.0), r=5.0, dt=1e-2, T=1.0,
                                n_paths=2000, seed=1)
 
-    @staticmethod
-    def serial_reference(params, r, dt, T, n_paths, seed):
-        """The two parts advanced one after another on this thread, each on
-        its own substream and its own block."""
-        c, dt32, A32 = np.float32(params.mu * math.sqrt(dt)), np.float32(dt), np.float32(params.A)
-        n_steps = int(round(T / dt))
-        parts = np.array_split(np.full(n_paths, np.float32(r)), 2)
-        out = [
-            oracle._advance(np.random.default_rng(seq), R, c, dt32, A32, n_steps,
-                            np.empty(max(oracle.MC_BLOCK // 2, R.size), np.float32))
-            for seq, R in zip(np.random.SeedSequence(seed).spawn(2), parts)
-        ]
-        return np.sort(np.concatenate(out).astype(np.float64))
+    @pytest.mark.parametrize("n_paths", [7, 100], ids=["steps-per-block", "paths-over-block"])
+    def test_block_layout(self, monkeypatch, n_paths):
+        # a block of k = MC_BLOCK // alive steps (at least one) draws its
+        # bits in one rng.bytes((k alive + 7) // 8) call; a step-by-step
+        # reference on the same bits keeps the same survivors
+        class RecordedBits:
+            def __init__(self, seed):
+                self.rng, self.draws = np.random.default_rng(seed), []
 
-    @pytest.mark.parametrize("n_paths, T", [(4001, 10.0), (300_001, 0.12), (1, 0.5)],
-                             ids=["many-blocks", "part-over-block", "one-path"])
-    def test_threads_match_serial_parts(self, params_mu1_A20, n_paths, T):
-        # a generator or block shared between the threads would change the
-        # draws; a part larger than its block takes one step per block
-        args = (params_mu1_A20, 5.0, 1e-2, T, n_paths, 8)
-        law = simulate_killed_sr(*args)
-        assert law.n_survivors > 0
-        assert np.array_equal(law.samples, self.serial_reference(*args))
+            def bytes(self, n):
+                self.draws.append(self.rng.bytes(n))
+                return self.draws[-1]
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
-    def test_one_cpu_gives_the_same_samples(self, params_mu1_A20):
+        block, n_steps = 64, 400
+        monkeypatch.setattr(oracle, "MC_BLOCK", block)
+        c, dt32, A32, r = np.float32(0.1), np.float32(1e-2), np.float32(8.0), np.float32(5.0)
+        rng = RecordedBits(1)
+        got = oracle._advance(rng, np.full(n_paths, r), c, dt32, A32, n_steps)
+
+        R, left = np.full(n_paths, r), n_steps
+        for draw in rng.draws:
+            k = max(1, min(left, block // R.size))
+            assert len(draw) == (k * R.size + 7) // 8
+            bits = np.unpackbits(np.frombuffer(draw, np.uint8), count=k * R.size)
+            alive = np.arange(R.size)  # the block's columns still alive
+            for row in bits.reshape(k, R.size):
+                R = R * np.where(row[alive] == 1, np.float32(1) + c, np.float32(1) - c) + dt32
+                alive, R = alive[R < A32], R[R < A32]
+            left -= k
+        assert left == 0 and len(rng.draws) > 1
+        if n_paths > block:
+            assert len(rng.draws[0]) == (n_paths + 7) // 8  # one step
+        assert 0 < got.size < n_paths and np.array_equal(got, R)
+
+    def test_simd_dispatch_gives_the_same_samples(self, params_mu1_A20):
+        # numpy picks a SIMD kernel at run time; with every dispatch target
+        # above its baseline disabled the samples must not change
+        umath = pytest.importorskip("numpy._core._multiarray_umath")
+        targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+        if not targets:
+            pytest.skip("this CPU supports no dispatch target above numpy's baseline")
         script = (
-            "import hashlib, os\n"
+            "import hashlib\n"
+            "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
             "from qsd_sr import ModelParams, simulate_killed_sr\n"
-            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "assert not any(__cpu_features__.get(t) for t in __cpu_dispatch__)\n"
             "law = simulate_killed_sr(ModelParams(1.0, 20.0), r=5.0, dt=1e-2, T=5.0,\n"
             "                         n_paths=40000, seed=9)\n"
-            "print(len(os.sched_getaffinity(0)), hashlib.sha256(law.samples.tobytes()).hexdigest())\n"
+            "print(hashlib.sha256(law.samples.tobytes()).hexdigest())\n"
         )
         src = str(Path(oracle.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         law = simulate_killed_sr(params_mu1_A20, r=5.0, dt=1e-2, T=5.0, n_paths=40000, seed=9)
-        assert proc.stdout.split() == ["1", hashlib.sha256(law.samples.tobytes()).hexdigest()]
+        assert proc.stdout.split() == [hashlib.sha256(law.samples.tobytes()).hexdigest()]
 
     def test_touching_threshold_inside_a_block_kills(self):
         class FixedBits:
@@ -295,7 +310,7 @@ class TestSimulation:
         bits[:16, 0], bits[16:, 0] = 1, 0  # path 0 climbs above A, then falls back below
         c, dt32, A32 = np.float32(mu * math.sqrt(dt)), np.float32(dt), np.float32(A)
         got = oracle._advance(FixedBits(bits), np.full(n_paths, np.float32(r)), c, dt32, A32,
-                              n_steps, np.empty(bits.size, np.float32))
+                              n_steps)
 
         factors = np.where(bits == 1, np.float32(1) + c, np.float32(1) - c)
         free = np.full(n_paths, np.float32(r))  # the same paths without the kill
