@@ -41,12 +41,10 @@ from .specfun import (
 
 __all__ = [
     "ApproxSolution",
-    "approx_pdfs",
     "lambda_order1",
     "lambda_order2",
     "lambda_order3",
     "whittaker_expansion3",
-    "index_derivative_identity",
     "build_approx",
 ]
 
@@ -179,16 +177,11 @@ def whittaker_expansion3(x: float, lam: float, params: ModelParams) -> float:
     return 2.0 / mu2 * math.exp(-1.0 / (mu2 * x)) * _bracket(3, x, lam, mu2, kernels)
 
 
-def index_derivative_identity(k: int, x: float) -> float:
-    """Closed form of the k-th derivative of W_{1,b}(x) in b at b = 1/2."""
-    return math.exp(-0.5 * x) * _index_derivative_scaled(k, x)
-
-
 def _index_derivative_scaled(k: int, x: float) -> float:
-    """:func:`index_derivative_identity` without its factor e^{-x/2}, which
-    underflows to 0 above x = 1491: 1, 2 (e^x E1(x) + x G(x)) and 6 G(x)
-    for k = 1, 2, 3.  Raises :class:`DomainError` unless x is finite and
-    positive."""
+    """Closed form of the k-th derivative of W_{1,b}(x) in b at b = 1/2
+    without its factor e^{-x/2}, which underflows to 0 above x = 1491:
+    1, 2 (e^x E1(x) + x G(x)) and 6 G(x) for k = 1, 2, 3.  Raises
+    :class:`DomainError` unless x is finite and positive."""
     if not (0.0 < x < math.inf):
         raise DomainError(f"x must be finite and positive, got {x}")
     if k == 1:
@@ -208,9 +201,10 @@ LAMBDA_BY_ORDER = {1: lambda_order1, 2: lambda_order2, 3: lambda_order3}
 def build_approx(params: ModelParams, order: int) -> ApproxSolution:
     """Assemble the order-1/2/3 approximate solution (eigenvalue plus the
     exact-law normalization denominator evaluated at that eigenvalue).
-    Raises :class:`DomainError` below mu^2 A = C_MIN, like the exact law."""
-    if order not in LAMBDA_BY_ORDER:
-        raise DomainError(f"approximation order must be 1, 2 or 3, got {order}")
+    Raises :class:`DomainError` below mu^2 A = C_MIN, like the exact law,
+    and unless ``order`` is the int 1, 2 or 3."""
+    if type(order) is not int or order not in LAMBDA_BY_ORDER:  # 2.0 and True hash as ints
+        raise DomainError(f"approximation order must be the int 1, 2 or 3, got {order!r}")
     _check_domain(params)
     lam = LAMBDA_BY_ORDER[order](params)
     denom = normalization(params, WhittakerIndex(0, _index_b(min(lam, 0.0), params.mu2)))

@@ -23,6 +23,8 @@ from .errors import ConvergenceError, DomainError, ThresholdTooSmallError
 from .specfun import (ModelParams, WhittakerIndex, _index_derivative, exp_scaled_e1,
                       meijer_g_special, speed_density, whittaker_w, whittaker_w_scaled)
 
+__all__ = ["integral_identity_check", "index_derivative_check", "norm_identity_check"]
+
 # Reference values for mu = 1, twelve decimals: negated dominant eigenvalue
 # and its order-1/2/3 approximations, used as golden regression data.
 REFERENCE_TABLE = {
@@ -144,10 +146,10 @@ def integral_identity_check(b: complex, z: float) -> float:
 
 def index_derivative_check(k: int, x: float) -> float:
     """Relative residual of the closed-form k-th b-derivative of W_{1,b}(x)
-    at b = 1/2 (:func:`index_derivative_identity`) against the kernel's own
-    index derivative, the terms of its trapezoid sum differentiated in b.
-    Both are compared without their common factor e^{-x/2}, so the residual
-    stays defined where that factor underflows."""
+    at b = 1/2 against the kernel's own index derivative, the terms of its
+    trapezoid sum differentiated in b.  Both are compared without their
+    common factor e^{-x/2}, so the residual stays defined where that factor
+    underflows."""
     closed = asymptotics._index_derivative_scaled(k, x)
     # W_{1,b}(x) = e^{-x/2} x * scaled W_{1,b}(x)
     kernel = x * _index_derivative(WhittakerIndex(1, 0.5), x, k).real

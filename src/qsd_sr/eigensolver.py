@@ -27,7 +27,7 @@ from collections import namedtuple
 from operator import mul
 
 from .errors import AmbiguousRootError, BracketError, DomainError
-from .specfun import ModelParams, _cosh_bts, _w_terms
+from .specfun import C_MAX, C_MIN, ModelParams, _cosh_bts, _w_terms
 
 __all__ = [
     "EigenBracket",
@@ -38,17 +38,6 @@ __all__ = [
 
 # the number of scan intervals
 SCAN_NODES = 64
-
-# The c = mu^2 A accepted: the domain checked against the oracles.
-# Below C_MIN the imaginary second index grows and the kernel's sum of
-# cos(|b| t_k)-weighted terms cancels by about exp(pi |b| / 2).  Measured
-# with quad: |int q - 1| is 7e-16 at c = 0.5, 1e-15 at 0.3 and 3.6e-7 at
-# 0.12, where |b| = 11.2 and lam = -63.201 (the grid oracle gives -63.2).
-# Above C_MAX no oracle has checked lam, and rounding noise in the equation
-# takes over: at c = 1e10 it gives three sign changes, and at 1.25e11 and
-# 1e12 the bracket holds none.
-C_MIN = 0.5
-C_MAX = 1e9
 
 
 class EigenBracket(namedtuple("EigenBracket", "lo hi")):

@@ -1,5 +1,15 @@
 """Exception hierarchy for the qsd_sr package."""
 
+__all__ = [
+    "QsdError",
+    "DomainError",
+    "ConvergenceError",
+    "BracketError",
+    "AmbiguousRootError",
+    "ThresholdTooSmallError",
+    "NoSurvivorsError",
+]
+
 
 class QsdError(Exception):
     """Base class for all package-specific errors."""

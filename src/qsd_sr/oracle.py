@@ -179,9 +179,7 @@ def sturm_liouville_eigen(params: ModelParams, n_grid: int) -> GridSolution:
     if not math.isfinite(lam_hat) or lam_hat > 0.0:
         raise ConvergenceError(f"discretized eigenvalue not converged: {lam_hat}")
 
-    q_hat = dens * phi
-    if q_hat[int(np.argmax(np.abs(q_hat)))] < 0.0:
-        q_hat = -q_hat
+    q_hat = dens * phi  # positive: _lowest_eigenvector returns a positive vector
     # report the Dirichlet node explicitly: q(A) = 0 is imposed, not solved
     grid = np.append(nodes, x[-1])
     q_hat = np.append(q_hat, 0.0)

@@ -107,11 +107,11 @@ def moments(sol: QsdSolution, n_max: int) -> tuple:
 
     The denominator is bounded away from zero for lam <= 0, so the recursion
     has no singularity; growth M_n ~ A^n caps the order at 50, and at the
-    largest n with A^n finite when that is lower.
+    largest n with A^n finite when that is lower.  Raises
+    :class:`DomainError` unless n_max is a plain int in range.
     """
-    from numbers import Integral  # here, not at import: the CLI never needs it
-    if not (isinstance(n_max, Integral) and n_max >= 0):
-        raise DomainError(f"moment order must be a nonnegative integer, got {n_max}")
+    if not (type(n_max) is int and n_max >= 0):  # bool is an int subclass
+        raise DomainError(f"moment order must be a nonnegative int, got {n_max!r}")
     if n_max > MAX_MOMENT_ORDER:
         raise DomainError(
             f"moment order {n_max} exceeds cap {MAX_MOMENT_ORDER} (A^n overflow guard)"

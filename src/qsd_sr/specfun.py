@@ -6,21 +6,22 @@ special functions evaluated in plain double precision:
 * the Gamma function for complex arguments (Lanczos approximation),
 * the Whittaker W function ``W_{a,b}(z)`` for first index ``a`` in {0, 1, 2},
   second index ``b`` either real in [0, 1/2] or purely imaginary, and real
-  ``z`` in [1e-100, 1e100], all from one trapezoid sum of a modified-Bessel
-  integral,
+  ``z`` in [2/C_MAX, 1e100], all from one trapezoid sum of a modified-Bessel
+  integral (the law evaluates W at z = 2/(mu^2 x) >= 2/(mu^2 A), and
+  mu^2 A <= C_MAX),
 * the exponential integral ``E1(x) = int_x^inf exp(-y)/y dy``,
 * the Laplace-type integral ``G(x) = int_0^inf exp(-x y) log(1+y)/y dy``
   (a special case of the Meijer G function),
 * the correction kernel ``L(x) = exp(x) E1(x) - 1 + x G(x)``,
-* the stationary law of the underlying diffusion, with density
-  ``m(x) = (2/(mu^2 x^2)) exp(-2/(mu^2 x))`` and cdf ``H(x) = exp(-2/(mu^2 x))``.
+* the speed density ``m(x) = (2/(mu^2 x^2)) exp(-2/(mu^2 x))``, the
+  stationary density of the underlying diffusion.
 
 The functions hold no global mutable state.  The one mutable thing is per
 index: a :class:`WhittakerIndex` fills its rows cosh(b t_k) v_k^j on the
-fixed-step nodes (v_k = -(cosh t_k - 1), j = 0..a) on its first evaluation
-there and keeps them.  That fill is idempotent (every thread computes the
-same value, and a racing write only replaces it with an equal one), so
-indices may be shared between threads.
+127 fixed-step nodes (v_k = -(cosh t_k - 1), j = 0..a) on its first
+evaluation there and keeps them.  That fill is idempotent (every thread
+computes the same value, and a racing write only replaces it with an equal
+one), so indices may be shared between threads.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property
-from itertools import repeat
+from itertools import count, repeat, takewhile
 from operator import mul
 
 from .errors import DomainError
@@ -46,10 +47,20 @@ __all__ = [
     "meijer_g_special",
     "lower_bound_l",
     "speed_density",
-    "stationary_cdf",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
+
+# The c = mu^2 A accepted: the domain checked against the oracles.
+# Below C_MIN the imaginary second index grows and the kernel's sum of
+# cos(|b| t_k)-weighted terms cancels by about exp(pi |b| / 2).  Measured
+# with quad: |int q - 1| is 7e-16 at c = 0.5, 1e-15 at 0.3 and 3.6e-7 at
+# 0.12, where |b| = 11.2 and lam = -63.201 (the grid oracle gives -63.2).
+# Above C_MAX no oracle has checked lam, and rounding noise in the equation
+# takes over: at c = 1e10 it gives three sign changes, and at 1.25e11 and
+# 1e12 the bracket holds none.
+C_MIN = 0.5
+C_MAX = 1e9
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +116,10 @@ class WhittakerIndex(namedtuple("WhittakerIndex", "a b")):
     @cached_property
     def _rows(self) -> list:
         """The a + 1 rows cosh(b t_k) v_k^j, j = 0..a, of
-        :func:`_moment_rows` on the first _N_ROW fixed-step nodes, computed
-        on the first evaluation at x <= _X_FIXED and kept in the instance
-        dict, not in the tuple, so ``==``, ``hash`` and ``repr`` ignore it."""
-        return _moment_rows(self.a, self.b, _T[:_N_ROW], _NCM1)
+        :func:`_moment_rows` on the fixed-step nodes, computed on the first
+        evaluation at x <= _X_FIXED and kept in the instance dict, not in
+        the tuple, so ``==``, ``hash`` and ``repr`` ignore it."""
+        return _moment_rows(self.a, self.b, _T, _NCM1)
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +186,29 @@ def gamma_cx(z: complex) -> complex:
 # x (cosh t - 1) - _RB_MAX t <= _CUT, _RB_MAX the largest |Re b| an index
 # admits; past them every term is below exp(-40) of its weight and shrinks
 # doubly exponentially.  On [_Z_MIN, _Z_MAX] every term and every scaled
-# W_{a,b} is a finite double.
+# W_{a,b} is a finite double; _Z_MIN = 2/C_MAX is the smallest argument of
+# the law's kernel.
 _H = 0.2
 _X_FIXED = (0.6 / _H) ** 2
 _CUT = 40.0
 _RB_MAX = 0.55
-_Z_MIN, _Z_MAX = 1e-100, 1e100
+_Z_MIN, _Z_MAX = 2.0 / C_MAX, 1e100
 _SQRT_PI = math.sqrt(math.pi)
 
-# The fixed-step nodes t_k = k _H, k >= 1, as far as the sum reaches at
-# _Z_MIN; -(cosh t_k - 1), written without cancellation; and, ascending,
-# -x_k with x_k the largest x whose sum keeps node k.  Each index keeps
-# its rows for the first _N_ROW nodes, all that z >= 2e-9 needs.
-_T = tuple(k * _H for k in range(1, 1200))
+
+def _reach(t: float) -> float:
+    """The largest x whose sum keeps the node t: the root of
+    x (cosh t - 1) - _RB_MAX t = _CUT."""
+    return (_CUT + _RB_MAX * t) / (2.0 * math.sinh(0.5 * t) ** 2)
+
+
+# The fixed-step nodes t_k = k _H, k >= 1, that the sum keeps at _Z_MIN
+# (127 of them); -(cosh t_k - 1), written without cancellation; and,
+# ascending, -x_k with x_k = _reach(t_k).  Each index caches its rows on
+# all of them.
+_T = tuple(takewhile(lambda t: _reach(t) >= 0.5 * _Z_MIN, (k * _H for k in count(1))))
 _NCM1 = tuple(-2.0 * math.sinh(0.5 * t) ** 2 for t in _T)
-_NEG_REACH = tuple((_CUT + _RB_MAX * t) / c for t, c in zip(_T, _NCM1))
-_N_ROW = 128
+_NEG_REACH = tuple(-_reach(t) for t in _T)
 
 # p_a(s) = q2 s^2 + q1 s + q0, the weight of W_{a,b} in the integral, as
 # (q2, q1, q0) for a = 0, 1, 2
@@ -228,7 +246,7 @@ def _cosh_bts(b: complex, ts) -> object:
 
 def whittaker_w_scaled(idx: WhittakerIndex, z: float) -> float:
     """Overflow-free evaluation of ``exp(z/2) * z**(-a) * W_{a,b}(z)`` for z
-    in [1e-100, 1e100].
+    in [2/C_MAX, 1e100].
 
     One formula for every index and argument: with x = z/2 and
     s = x (1 + cosh t),
@@ -245,10 +263,7 @@ def whittaker_w_scaled(idx: WhittakerIndex, z: float) -> float:
     """
     a, b = idx
     x, h, n, ts, v = _grid(z)
-    if x <= _X_FIXED and n <= _N_ROW:
-        rows = idx._rows
-    else:
-        rows = _moment_rows(a, b, ts[:n], v)
+    rows = idx._rows if x <= _X_FIXED else _moment_rows(a, b, ts, v)
     f = math.sqrt(z) * h / _SQRT_PI
     # p_a(s_k) = c0 - c1 x v_k + c2 (x v_k)^2 at s_k = z - x v_k, so with
     # E_k = exp(x v_k) and S_j = sum_k rows[j][k] E_k the sum is
@@ -272,7 +287,7 @@ def _moment_rows(a: int, b: complex, ts, v) -> list:
     v a sequence (at least as long) of v_k = -(cosh t_k - 1): the factors
     that the moment sums S_j of :func:`whittaker_w_scaled` weight by
     exp(x v_k).  Lists, not tuples: with tuples, one law after another
-    (six 128-item rows each) raised the resident size of a Python 3.11
+    (six 127-item rows each) raised the resident size of a Python 3.11
     process on Linux by 0.6 MB over 600 laws; with lists it stayed flat."""
     rows = [list(_cosh_bts(b, ts))]
     for _ in range(a):
@@ -304,19 +319,13 @@ def _index_derivative(idx: WhittakerIndex, z: float, k: int) -> complex:
 
 
 def whittaker_w(idx: WhittakerIndex, z: float) -> float:
-    """Whittaker function ``W_{a,b}(z)`` for z in [1e-100, 1e100], from
+    """Whittaker function ``W_{a,b}(z)`` for z in [2/C_MAX, 1e100], from
     :func:`whittaker_w_scaled`.  The result is real for all admissible
-    indices (W is symmetric under b -> -b)."""
-    scaled = whittaker_w_scaled(idx, z)
-    if z > 600.0:
-        # assemble in log space; underflows cleanly to 0 for huge z
-        if scaled == 0.0:
-            return 0.0
-        t = -0.5 * z + idx.a * math.log(z) + math.log(abs(scaled))
-        if t < -745.0:
-            return 0.0
-        return math.copysign(math.exp(t), scaled)
-    return math.exp(-0.5 * z) * z ** idx.a * scaled
+    indices (W is symmetric under b -> -b).  Assembled as
+    exp(-z/2) z^a W~ at every z: exp(-z/2) is subnormal from z = 1416 on,
+    where W (at most 1e-300 there) loses relative precision, and 0 from
+    z = 1490 on."""
+    return math.exp(-0.5 * z) * z ** idx.a * whittaker_w_scaled(idx, z)
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +499,3 @@ def speed_density(x: float, params: ModelParams) -> float:
     if t < -745.0:
         return 0.0
     return 2.0 / (params.mu2 * x * x) * math.exp(t)
-
-
-def stationary_cdf(x: float, params: ModelParams) -> float:
-    """Stationary cdf ``H(x) = exp(-2/(mu^2 x))``, the exact antiderivative
-    of :func:`speed_density` vanishing at 0."""
-    if math.isnan(x):
-        raise DomainError("argument must not be nan")
-    if x <= 0.0:
-        return 0.0
-    t = -2.0 / (params.mu2 * x)
-    return math.exp(t) if t >= -745.0 else 0.0

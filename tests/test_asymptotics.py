@@ -12,7 +12,6 @@ from qsd_sr import (
     WhittakerIndex,
     build_approx,
     index_derivative_check,
-    index_derivative_identity,
     lambda_order1,
     lambda_order2,
     lambda_order3,
@@ -22,7 +21,7 @@ from qsd_sr import (
     whittaker_w,
 )
 from qsd_sr import asymptotics, specfun
-from qsd_sr.asymptotics import approx_pdfs
+from qsd_sr.asymptotics import _index_derivative_scaled, approx_pdfs
 from qsd_sr.checks import SUITES
 from qsd_sr.eigensolver import _index_b
 
@@ -139,12 +138,13 @@ class TestExpansion:
 
 
 class TestIndexDerivatives:
+    # the closed forms are compared without their factor e^{-x/2}
     def test_first_identity_value(self):
-        assert index_derivative_identity(1, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert _index_derivative_scaled(1, 2.0) == 1.0
 
     def test_third_identity_value(self):
-        expect = 6.0 * math.exp(-0.5) * meijer_g_special(1.0)
-        assert index_derivative_identity(3, 1.0) == pytest.approx(expect, rel=1e-12)
+        expect = 6.0 * meijer_g_special(1.0)
+        assert _index_derivative_scaled(3, 1.0) == pytest.approx(expect, rel=1e-12)
 
     def test_against_numerical_derivatives(self):
         for k in (1, 2, 3):
@@ -158,20 +158,20 @@ class TestIndexDerivatives:
     @pytest.mark.parametrize("x", [1500.0, 1e4, 1e6, 1e9])
     def test_where_the_common_factor_underflows(self, x):
         # e^{-x/2} is 0.0 from x = 1491 on; the check compares without it
-        assert index_derivative_identity(1, x) == 0.0
+        assert math.exp(-0.5 * x) == 0.0
         for k in (1, 2, 3):
             assert index_derivative_check(k, x) < 3e-13, k
 
     def test_order_validation(self):
         with pytest.raises(DomainError, match="derivative order"):
-            index_derivative_identity(4, 1.0)
+            _index_derivative_scaled(4, 1.0)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, 0.0, -1.0])
     def test_argument_must_be_finite_and_positive(self, x):
         # the error names x, not the argument of G or of the Whittaker kernel
         for k in (1, 2, 3):
             with pytest.raises(DomainError, match="x must be finite and positive"):
-                index_derivative_identity(k, x)
+                _index_derivative_scaled(k, x)
             with pytest.raises(DomainError, match="x must be finite and positive"):
                 index_derivative_check(k, x)
         with pytest.raises(DomainError, match="x must be finite and positive"):
@@ -276,3 +276,6 @@ class TestPdfApprox:
     def test_order_validation(self):
         with pytest.raises(DomainError):
             build_approx(ModelParams(mu=1.0, A=20.0), 4)
+        for order in (2.0, True):  # equal as dict keys to 2 and 1
+            with pytest.raises(DomainError, match="the int 1, 2 or 3"):
+                build_approx(ModelParams(mu=1.0, A=20.0), order)

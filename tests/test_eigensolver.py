@@ -1,3 +1,6 @@
+import math
+import sys
+
 import pytest
 from scipy.integrate import quad
 
@@ -8,6 +11,7 @@ from qsd_sr import (
     DomainError,
     ModelParams,
     WhittakerIndex,
+    boundary_flux_identity,
     build_approx,
     build_solution,
     cdf,
@@ -20,7 +24,7 @@ from qsd_sr import (
     whittaker_w_scaled,
 )
 from qsd_sr import eigensolver
-from qsd_sr.specfun import _cosh_bts
+from qsd_sr.specfun import C_MAX, C_MIN, _cosh_bts
 
 PARAM_SWEEP = [(mu, A) for mu in (0.5, 1.0, 1.5) for A in (5.0, 20.0, 100.0)]
 
@@ -208,7 +212,7 @@ class TestCheckedDomain:
 
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
     def test_law_at_c_min(self, mu):
-        p = ModelParams(mu=mu, A=eigensolver.C_MIN / mu**2)
+        p = ModelParams(mu=mu, A=C_MIN / mu**2)
         sol = build_solution(p)
         total, _ = quad(lambda x: pdf(x, sol), 0.0, p.A, epsabs=1e-11, epsrel=1e-10, limit=300)
         assert abs(total - 1.0) <= 1e-8
@@ -218,6 +222,27 @@ class TestCheckedDomain:
         m = mode(sol)
         assert 0.0 < m < p.A
         assert pdf(m, sol) > max(pdf(0.99 * m, sol), pdf(1.01 * m, sol))
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+    def test_law_at_c_max(self, mu):
+        # the kernel's smallest argument, 2/C_MAX, is z at x = A
+        p = ModelParams(mu=mu, A=C_MAX / mu**2)
+        assert p.mu2 * p.A == C_MAX
+        sol = build_solution(p)
+        xs = [p.A * i / 999 for i in range(1000)]  # the CLI's default grid
+        q = [pdf(x, sol) for x in xs]
+        Q = [cdf(x, sol) for x in xs]
+        assert q[0] == q[-1] == 0.0 and all(0.0 <= v < math.inf for v in q)
+        assert Q[0] == 0.0 and Q[-1] == cdf(p.A, sol) == 1.0
+        assert all(0.0 <= a <= b <= 1.0 for a, b in zip(Q, Q[1:]))
+        m = mode(sol)
+        assert 0.0 < m < p.A and pdf(m, sol) >= max(q)
+        # the flux matches lam to 3e-12 at moderate c; here lam itself
+        # carries the solver's eps c/8 relative error (its root
+        # s = 1 + 8 lam/mu^2 is a double near 1), and the flux is 2.3e-8 off
+        lam = sol.se.lam
+        bound = 2.0 * sys.float_info.epsilon * C_MAX / 8.0
+        assert abs(boundary_flux_identity(sol) - lam) <= bound * abs(lam)
 
 
 class TestEigenfunction:

@@ -133,6 +133,10 @@ def test_every_exported_name_resolves():
         assert getattr(qsd_sr, name) is getattr(checks, name), name
 
 
+def test_lazy_names_are_the_oracle_names():
+    assert qsd_sr._ORACLE_NAMES == tuple(oracle.__all__)
+
+
 def test_star_import():
     namespace = {}
     exec("from qsd_sr import *", namespace)

@@ -248,6 +248,9 @@ class TestMoments:
             moments(sol_mu1_A20, -1)
         with pytest.raises(DomainError):  # was a bare TypeError from range
             moments(sol_mu1_A20, 2.5)
+        for n_max in (2.0, True, False):  # bool is an int subclass
+            with pytest.raises(DomainError, match="nonnegative int"):
+                moments(sol_mu1_A20, n_max)
 
 
 class TestMode:

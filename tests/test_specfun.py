@@ -32,16 +32,18 @@ from qsd_sr import (
     lower_bound_l,
     meijer_g_special,
     speed_density,
-    stationary_cdf,
     whittaker_w,
     whittaker_w_scaled,
 )
 from qsd_sr.eigensolver import _index_b
 from qsd_sr.specfun import (
+    C_MAX,
     EULER_GAMMA,
     _LAGUERRE_RULE,
+    _CUT,
+    _H,
     _NEG_REACH,
-    _N_ROW,
+    _RB_MAX,
     _X_FIXED,
     _Z_MAX,
     _Z_MIN,
@@ -53,8 +55,6 @@ from qsd_sr.specfun import (
 
 # the argument where the trapezoid step turns from fixed to 0.6/sqrt(z/2)
 Z_HANDOFF = 2.0 * _X_FIXED
-# below this argument the fixed-step sum reaches past an index's cached rows
-Z_TABLE_END = -2.0 * _NEG_REACH[_N_ROW]
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +274,44 @@ class TestWhittakerW:
         ref = whittaker_ode_value(a, b, z, z_start=300.0)
         assert whittaker_w(WhittakerIndex(a, b), z) == pytest.approx(ref, rel=1e-9)
 
+    # W_{a,b}(z) at z = 601, 800, 1000 and 1400 by mpmath's whitw at 60
+    # digits, rounded to 30
+    LARGE_Z = (601.0, 800.0, 1000.0, 1400.0)
+    LARGE_Z_REF = {
+        (0, 0.0): (3.12124480617865033654776420182e-131, 1.9145719456589071178825107501e-174,
+                   7.1227972622648911790079287335e-218, 9.85791729994659435897691402065e-305),
+        (0, 0.3): (3.12171147380345485257310560203e-131, 1.91478707856825962350382566615e-174,
+                   7.12343770312275033555442546451e-218, 9.85855059157246403192475413476e-305),
+        (0, 0.5): (3.12254127723228483809625577956e-131, 1.91516959671400569501983977865e-174,
+                   7.12457640674128553154915737712e-218, 9.85967654375977085670537294785e-305),
+        (0, 2j): (3.1005742450592942664852254069e-131, 1.90503483286001568625952963877e-174,
+                  7.09439125830388608334428450685e-218, 9.8298120308722057864067986943e-305),
+        (1, 0.0): (1.87586683445696050558174766986e-128, 1.5316569597133393867367792124e-171,
+                   7.12279548511589093399812574422e-215, 1.38010824620920352153013511248e-301),
+        (1, 0.3): (1.87614776743615304145132566627e-128, 1.53182928085091834812246251351e-171,
+                   7.12343656564522570744341950956e-215, 1.38019697031159820571661342365e-301),
+        (1, 0.5): (1.87664730761660318769584972352e-128, 1.53213567737120455601587182292e-171,
+                   7.12457640674128553154915737712e-215, 1.3803547161263679199387522127e-301),
+        (1, 2j): (1.86342326777100533890484825733e-128, 1.52401777093075757765658071587e-171,
+                  7.09436116713605154298123964868e-215, 1.37617070451941410199213049774e-301),
+        (2, 0.0): (1.1236434535285177981808827173e-125, 1.22226177520825841588917034087e-168,
+                   7.10854811344634358590733474075e-212, 1.92939108175253402443426991282e-298),
+        (2, 0.3): (1.1238120132204198632765676624e-125, 1.22239945975310027088018532517e-168,
+                   7.10918855276390275638847898183e-212, 1.92951520675880482643240105547e-298),
+        (2, 0.5): (1.12411173726234530942981398439e-125, 1.22264427054222123570066571469e-168,
+                   7.11032725392780296048605906237e-212, 1.92973589314466235207437559335e-298),
+        (2, 2j): (1.11617735995429069600337154393e-125, 1.21615808480470489190328480826e-168,
+                  7.08014229363893164837942295617e-212, 1.92388246724802779389753921295e-298),
+    }
+
+    @pytest.mark.parametrize("a, b", LARGE_Z_REF, ids=str)
+    def test_large_argument_against_literals(self, a, b):
+        # W = exp(-z/2) z^a W~ as one product keeps every rounding
+        # relative: 4.7e-16 at worst here
+        for z, ref in zip(self.LARGE_Z, self.LARGE_Z_REF[a, b]):
+            val = whittaker_w(WhittakerIndex(a, b), z)
+            assert abs(val - ref) <= 1e-15 * ref, (a, b, z)
+
     def test_large_z_underflow_is_clean(self):
         idx = WhittakerIndex(1, 0.25)
         assert whittaker_w(idx, 5000.0) == 0.0
@@ -286,7 +324,7 @@ class TestWhittakerW:
             whittaker_w(WhittakerIndex(1, 0.25), -2.0)
 
     def test_argument_range(self):
-        # every term and every scaled W is a finite double on [1e-100, 1e100]
+        # every term and every scaled W is a finite double on [2/C_MAX, 1e100]
         for a in (0, 1, 2):
             for b in (0.0, 0.55, 3.5565j):
                 idx = WhittakerIndex(a, b)
@@ -297,8 +335,13 @@ class TestWhittakerW:
                         whittaker_w_scaled(idx, z)
 
     def test_fixed_table_reaches_z_min(self):
-        # the sum at the smallest argument stops inside the node table
-        assert bisect_right(_NEG_REACH, -0.5 * _Z_MIN) < len(_NEG_REACH)
+        # the table holds exactly the nodes that the sum keeps at the
+        # smallest argument: its last one, and not the node after it
+        assert _Z_MIN == 2.0 / C_MAX
+        x, n = 0.5 * _Z_MIN, len(_NEG_REACH)
+        assert bisect_right(_NEG_REACH, -x) == n == 127
+        t = (n + 1) * _H
+        assert x * (math.cosh(t) - 1.0) - _RB_MAX * t > _CUT
 
 
 class TestIndexReuse:
@@ -309,7 +352,6 @@ class TestIndexReuse:
     BRANCHES = {
         "fixed step": ((1, 0.3), (0.05, 0.7, 2.0, 9.0, Z_HANDOFF)),
         "fixed step, negative b": ((2, -0.45), (0.3, 4.0, 15.0)),
-        "fixed step past the table": ((1, 0.45), (1e-10, 1e-12)),
         "variable step": ((1, 0.3), (Z_HANDOFF + 0.5, 40.0, 700.0)),
         "imaginary b": ((1, 0.4j), (0.05, 0.7, 2.0, 9.0, 40.0)),
         "b = 0": ((0, 0.0), (0.1, 1.0, 7.5, 40.0)),
@@ -348,12 +390,12 @@ class TestIndexReuse:
     @pytest.mark.parametrize("a", [0, 1, 2])
     @pytest.mark.parametrize("b", [0.0, 0.3, -0.45, 0.5, 0.55, 0.4j, 3.5565j])
     def test_rows_match_terms_summed_per_node(self, a, b):
-        # the kernel sums its cached or per-call rows against one exp pass;
+        # the kernel sums its cached (fixed step) or per-call rows against
+        # one exp pass;
         # _w_terms multiplies each node's weight out first, so the two agree
         # to rounding in the sum of |terms|
         idx = WhittakerIndex(a, b)
-        zs = (0.5 * Z_TABLE_END, 0.9 * Z_TABLE_END, 1.1 * Z_TABLE_END, 0.1, 2.0,
-              Z_HANDOFF - 0.1, Z_HANDOFF + 0.1, 40.0)
+        zs = (_Z_MIN, 1.1 * _Z_MIN, 1e-6, 0.1, 2.0, Z_HANDOFF - 0.1, Z_HANDOFF + 0.1, 40.0)
         for z in zs:
             terms = [w * cmath.cosh(idx.b * t).real for t, w in zip(*_w_terms(a, z))]
             bound = 8.0 * sys.float_info.epsilon * sum(map(abs, terms))
@@ -529,25 +571,11 @@ class TestStationaryLaw:
         total, _ = quad(lambda x: speed_density(x, p), 0.0, math.inf, epsabs=1e-12, epsrel=1e-12)
         assert abs(total - 1.0) < 1e-10
 
-    def test_cdf_value(self):
-        for mu in (0.5, 1.0, 2.0):
-            p = ModelParams(mu=mu, A=10.0)
-            assert stationary_cdf(2.0 / mu**2, p) == pytest.approx(math.exp(-1.0), rel=1e-14)
-
-    def test_cdf_is_antiderivative(self):
-        p = ModelParams(mu=1.0, A=10.0)
-        for x in (0.3, 1.0, 4.0):
-            h = 1e-6 * x
-            d = (stationary_cdf(x + h, p) - stationary_cdf(x - h, p)) / (2 * h)
-            assert d == pytest.approx(speed_density(x, p), rel=1e-8)
-
     def test_zero_extension(self):
         p = ModelParams(mu=1.0, A=10.0)
         assert speed_density(0.0, p) == 0.0
         assert speed_density(-1.0, p) == 0.0
-        assert stationary_cdf(0.0, p) == 0.0
 
-    @pytest.mark.parametrize("fn", [speed_density, stationary_cdf])
-    def test_nan_raises(self, fn):
+    def test_nan_raises(self):
         with pytest.raises(DomainError):
-            fn(math.nan, ModelParams(mu=1.0, A=10.0))
+            speed_density(math.nan, ModelParams(mu=1.0, A=10.0))
