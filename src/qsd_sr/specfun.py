@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property
@@ -322,10 +323,14 @@ def whittaker_w(idx: WhittakerIndex, z: float) -> float:
     """Whittaker function ``W_{a,b}(z)`` for z in [2/C_MAX, 1e100], from
     :func:`whittaker_w_scaled`.  The result is real for all admissible
     indices (W is symmetric under b -> -b).  Assembled as
-    exp(-z/2) z^a W~ at every z: exp(-z/2) is subnormal from z = 1416 on,
-    where W (at most 1e-300 there) loses relative precision, and 0 from
-    z = 1490 on."""
-    return math.exp(-0.5 * z) * z ** idx.a * whittaker_w_scaled(idx, z)
+    exp(-z/2) z^a W~ while exp(-z/2) is a normal double (z up to 1416.8);
+    past that, as e (e z^a W~) with e = exp(-z/4), so that only the result
+    itself, not a factor of it, is subnormal."""
+    h = math.exp(-0.5 * z)
+    if h >= sys.float_info.min:
+        return h * z ** idx.a * whittaker_w_scaled(idx, z)
+    h = math.exp(-0.25 * z)
+    return h * (h * (z ** idx.a * whittaker_w_scaled(idx, z)))
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def test_every_exported_name_resolves():
     for name in qsd_sr.__all__:
         assert getattr(qsd_sr, name) is not None, name
     assert qsd_sr.sturm_liouville_eigen is oracle.sturm_liouville_eigen
-    for name in ("index_derivative_check", "integral_identity_check", "norm_identity_check"):
+    for name in checks.__all__:
         assert getattr(qsd_sr, name) is getattr(checks, name), name
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,19 @@ class TestSturmLiouville:
         # only decrease is asserted there
         assert 8.0 <= errs[0] / errs[1] <= 32.0
 
+    def test_working_set(self):
+        # through the inverse iteration only x, pf, the cell masses, the
+        # matrix (d, e), the factor (three vectors over all levels), its
+        # level buffers (one) and scratch (half) and two iterates are live:
+        # 11.5 vectors
+        tracemalloc.start()
+        try:
+            gs = sturm_liouville_eigen(ModelParams(1.0, 20.0), 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * gs.grid.size
+
     def test_rejects_tiny_grid(self, params_mu1_A20):
         with pytest.raises(DomainError):
             sturm_liouville_eigen(params_mu1_A20, 99)
@@ -107,6 +121,26 @@ def _lapack_vector(d, e):
     return v if v.sum() > 0.0 else -v
 
 
+def _cr_solve_allocating(factor, f):
+    """Reference for oracle._cr_solve: the same products and differences,
+    each level's vectors freshly allocated."""
+    levels, pivot, _ = factor
+    odds = []
+    for r, l, _, _ in levels:
+        f_odd, f = f[1::2], f[0::2].copy()
+        f[: r.size] -= r * f_odd
+        f[1:] -= l * f_odd[: l.size]
+        odds.append(f_odd)
+    x = f / pivot
+    for (r, l, inv_d, _), f_odd in zip(reversed(levels), reversed(odds)):
+        x_odd = f_odd * inv_d - r * x[: r.size]
+        x_odd[: l.size] -= l * x[1:]
+        full = np.empty(x.size + x_odd.size)
+        full[0::2], full[1::2] = x, x_odd
+        x = full
+    return x
+
+
 class TestGridEigenAgainstLapack:
     @pytest.mark.parametrize("mu, A, n_grid", _GRID_CASES)
     def test_matches_lapack(self, monkeypatch, mu, A, n_grid):
@@ -132,6 +166,19 @@ class TestGridEigenAgainstLapack:
         ref = _LAPACK_LAMBDA_HAT[mu, A, n_grid]
         lam = sturm_liouville_eigen(ModelParams(mu, A), n_grid).lambda_hat
         assert abs(lam - ref) < 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 1001])
+    def test_in_place_solve_matches_allocating_reference(self, n):
+        # the solve reuses the factor's buffers and the output vector: bit
+        # for bit the reference's result, twice in a row, and f untouched
+        rng = np.random.default_rng(n)
+        d, e = 2.5 + rng.random(n), -rng.random(n - 1)
+        factor = oracle._cr_factor(d, e)
+        f, out = rng.random(n), np.empty(n)
+        f0, ref = f.copy(), _cr_solve_allocating(factor, f)
+        for _ in range(2):
+            assert oracle._cr_solve(factor, f, out) is out
+            assert np.array_equal(out, ref) and np.array_equal(f, f0)
 
     def test_cap_raises(self, monkeypatch):
         monkeypatch.setattr(oracle, "SL_MAX_ITER", 3)

@@ -312,6 +312,32 @@ class TestWhittakerW:
             val = whittaker_w(WhittakerIndex(a, b), z)
             assert abs(val - ref) <= 1e-15 * ref, (a, b, z)
 
+    # W_{a,b}(z) past z = 1416.8, where exp(-z/2) is subnormal, by mpmath's
+    # whitw at 40 digits, rounded once to the nearest double (most of them
+    # subnormal themselves)
+    SUBNORMAL_Z = (1420.0, 1440.0, 1480.0, 1495.0)
+    SUBNORMAL_Z_REF = {
+        (1, 0.0): (6.355207467360113e-306, 2.92590434186965e-310, 6.1983e-319, 3.46e-322),
+        (1, 0.3): (6.355610274991762e-306, 2.92608721661785e-310, 6.19865e-319, 3.46e-322),
+        (1, 0.5): (6.356326440458685e-306, 2.926412355491e-310, 6.19934e-319, 3.46e-322),
+        (1, 2j): (6.337330651644384e-306, 2.91778810171843e-310, 6.18155e-319, 3.46e-322),
+        (2, 0.0): (9.011683069841948e-303, 4.207449935639009e-307, 9.1610685e-316,
+                   5.17015e-319),
+        (2, 0.3): (9.01225465381316e-303, 4.2077130923756354e-307, 9.161626e-316, 5.17045e-319),
+        (2, 0.5): (9.013270892570415e-303, 4.208180967196032e-307, 9.16261716e-316,
+                   5.17104e-319),
+        (2, 2j): (8.986315896628948e-303, 4.195770678726093e-307, 9.13632556e-316, 5.1563e-319),
+    }
+
+    @pytest.mark.parametrize("a, b", SUBNORMAL_Z_REF, ids=str)
+    def test_subnormal_exponential_against_literals(self, a, b):
+        # exp(-z/4) applied twice: only the last product rounds to a
+        # subnormal, so W keeps all the digits it can hold (at most 4 ulps
+        # off here)
+        for z, ref in zip(self.SUBNORMAL_Z, self.SUBNORMAL_Z_REF[a, b]):
+            val = whittaker_w(WhittakerIndex(a, b), z)
+            assert abs(val - ref) <= 8 * math.ulp(ref), (a, b, z)
+
     def test_large_z_underflow_is_clean(self):
         idx = WhittakerIndex(1, 0.25)
         assert whittaker_w(idx, 5000.0) == 0.0
