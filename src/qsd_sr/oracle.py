@@ -7,10 +7,9 @@ kernel:
   (d/dx)[p(x) phi'(x)] = lam m(x) phi(x), p(x) = (mu^2/2) x^2 m(x), with
   zero flux on the first cell face and a Dirichlet condition at A, solved as
   a symmetric tridiagonal eigenproblem by inverse iteration with odd-even
-  cyclic reduction (at its peak 11.5 vectors of the grid's length are
-  live: the grid, the face conductances, the cell masses, the matrix's two
-  diagonals, the factor's three, its level buffers and scratch, and two
-  iterates; 16.9 MiB at n_grid = 2e5), and
+  cyclic reduction (at its peak 7.5 vectors of the grid's length are live:
+  the grid, the factor's three, its level buffers and scratch, and two
+  iterates; 11.1 MiB at n_grid = 2e5), and
 * a Monte-Carlo simulator of the killed diffusion dR = dt + mu R dB by
   two-point weak Euler steps (one random bit per path-step) that advances
   all the paths as one array on one seeded stream.
@@ -66,17 +65,21 @@ class EmpiricalLaw(namedtuple("EmpiricalLaw", "samples n_survivors n_paths_total
     __slots__ = ()
 
 
-def _cr_factor(d, e):
+def _cr_factor(de):
     """Odd-even cyclic reduction of the symmetric positive definite
-    tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``.
+    tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``, passed as
+    the list ``de = [d, e]``.
 
-    Each level eliminates the odd unknowns from the even equations; this is
-    Cholesky on the red-black permuted matrix, so every Schur complement
-    stays positive definite and no pivoting is needed (Buzbee, Golub and
-    Nielson, SIAM J. Numer. Anal. 7(4), 1970).  Returns the per-level
-    multipliers ``(r, l, 1/d_odd)``, each with a buffer ``g`` for the reduced
-    system's vector, the last 1x1 pivot, and scratch for a solve's
-    products."""
+    The list is emptied: the factorization owns the two diagonals and frees
+    them once it has built its first level.  Each level eliminates the odd
+    unknowns from the even equations; this is Cholesky on the red-black
+    permuted matrix, so every Schur complement stays positive definite and
+    no pivoting is needed (Buzbee, Golub and Nielson, SIAM J. Numer. Anal.
+    7(4), 1970).  Returns the per-level multipliers ``(r, l, 1/d_odd)``, each
+    with a buffer ``g`` for the reduced system's vector, the last 1x1 pivot,
+    and scratch for a solve's products."""
+    d, e = de
+    de.clear()
     scratch = np.empty(d.size // 2)
     levels = []
     while d.size > 1:
@@ -121,15 +124,18 @@ SL_TOL = 1e-12
 SL_MAX_ITER = 100
 
 
-def _lowest_eigenvector(d, e):
+def _lowest_eigenvector(de):
     """Unit eigenvector of the smallest eigenvalue of the symmetric positive
-    definite tridiagonal matrix (diagonal ``d``, negative off-diagonal
-    ``e``), by inverse iteration from the ones vector.  The inverse of such
-    a matrix is positive, so every iterate and the eigenvector are positive
-    and the start overlaps it.  Raises :class:`ConvergenceError` after
-    SL_MAX_ITER steps."""
-    factor = _cr_factor(d, e)
-    v, y = np.ones(d.size), np.empty(d.size)
+    definite tridiagonal matrix with diagonal ``d`` and negative
+    off-diagonal ``e``, passed as the list ``de = [d, e]`` that
+    :func:`_cr_factor` empties, by inverse iteration from the ones vector.
+    The inverse of such a matrix is positive, so every iterate and the
+    eigenvector are positive and the start overlaps it.  Through the
+    iteration only the factor, its buffers and two iterates are live.
+    Raises :class:`ConvergenceError` after SL_MAX_ITER steps."""
+    n = de[0].size
+    factor = _cr_factor(de)
+    v, y = np.ones(n), np.empty(n)
     for _ in range(SL_MAX_ITER):
         _cr_solve(factor, v, y)
         y /= y.max()
@@ -146,6 +152,21 @@ def _lowest_eigenvector(d, e):
 def _speed_density(mu2, x):
     """m(x) = 2/(mu^2 x^2) exp(-2/(mu^2 x))."""
     return 2.0 / (mu2 * x * x) * np.exp(-2.0 / (mu2 * x))
+
+
+def _cells(mu2, x):
+    """The finite-volume discretization on the grid ``x``, whose last node A
+    carries the Dirichlet condition: the face conductances p(face)/h, the
+    speed density m(x_i) at the interior nodes and the cell masses
+    m(x_i) |cell i|."""
+    faces = 0.5 * (x[1:] + x[:-1])
+    pf = np.exp(-2.0 / (mu2 * faces)) / (x[1:] - x[:-1])  # p(face)/h, p = e^{-2/(mu^2 x)}
+    # the cell widths; cell 0 reaches half a step left of x[0]
+    mass = np.diff(faces, prepend=x[0] - 0.5 * (x[1] - x[0]))
+    del faces
+    density = _speed_density(mu2, x[:-1])
+    mass *= density
+    return pf, density, mass
 
 
 def sturm_liouville_eigen(params: ModelParams, n_grid: int) -> GridSolution:
@@ -166,35 +187,35 @@ def sturm_liouville_eigen(params: ModelParams, n_grid: int) -> GridSolution:
     x = x[x >= 2.0 / (mu2 * _LEFT_EXPONENT_CAP)]
     if x.size < 50:
         raise ConvergenceError("grid too coarse after left truncation")
-    nodes = x[:-1]  # interior nodes; x[-1] = A carries the Dirichlet condition
-
-    faces = 0.5 * (x[1:] + x[:-1])
-    pf = np.exp(-2.0 / (mu2 * faces)) / (x[1:] - x[:-1])  # p(face)/h, p = e^{-2/(mu^2 x)}
-    # cell 0 reaches half a step left of x[0]
-    widths = np.diff(faces, prepend=x[0] - 0.5 * (x[1] - x[0]))
 
     # the flux-difference stiffness K (zero flux through the left face of
     # cell 0) is negative definite; the top eigenvector of the pencil (K, M)
-    # is M^-1/2 times the lowest one of -M^-1/2 K M^-1/2.  Only x, pf, mass
-    # and the matrix live through the iteration: the density and M^-1/2 are
-    # recomputed after it
-    mass = _speed_density(mu2, nodes) * widths
+    # is M^-1/2 times the lowest one of -M^-1/2 K M^-1/2.  Only x and the
+    # matrix live into the iteration, and the matrix is the factorization's
+    # to free: pf, the density, the masses and M^-1/2 are recomputed after it
+    pf, density, mass = _cells(mu2, x)
     scale = 1.0 / np.sqrt(mass)
-    neg_diag = pf.copy()
-    neg_diag[1:] += pf[:-1]
-    d, e = neg_diag * scale * scale, -pf[:-1] * scale[:-1] * scale[1:]
-    del faces, widths, scale, neg_diag
-    phi = _lowest_eigenvector(d, e) * (1.0 / np.sqrt(mass))
+    del density, mass
+    d = pf.copy()
+    d[1:] += pf[:-1]
+    d *= scale
+    d *= scale
+    de = [d, -pf[:-1] * scale[:-1] * scale[1:]]
+    del pf, scale, d
+    phi = _lowest_eigenvector(de)
+    pf, density, mass = _cells(mu2, x)
+    phi = phi * (1.0 / np.sqrt(mass))  # not in place: the returned vector stays as it is
 
     # Rayleigh quotient with phi^T K phi in its energy form
     # -sum_i pf_i (phi_{i+1} - phi_i)^2 (phi = 0 at A): a sum of like-signed
     # terms, where expanding K phi cancels to ~eps ||K|| / |lam| (2e-8 at 2e5 nodes)
     lam_hat = float(-(pf @ np.diff(phi, append=0.0) ** 2) / (phi @ (mass * phi)))
+    del pf, mass
     if not math.isfinite(lam_hat) or lam_hat > 0.0:
         raise ConvergenceError(f"discretized eigenvalue not converged: {lam_hat}")
 
     # positive: _lowest_eigenvector returns a positive vector
-    q_hat = _speed_density(mu2, nodes) * phi
+    q_hat = density * phi
     # report the Dirichlet node explicitly: q(A) = 0 is imposed, not solved
     q_hat = np.append(q_hat, 0.0)
     q_hat = q_hat / np.trapezoid(q_hat, x)

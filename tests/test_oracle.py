@@ -74,17 +74,16 @@ class TestSturmLiouville:
         assert 8.0 <= errs[0] / errs[1] <= 32.0
 
     def test_working_set(self):
-        # through the inverse iteration only x, pf, the cell masses, the
-        # matrix (d, e), the factor (three vectors over all levels), its
-        # level buffers (one) and scratch (half) and two iterates are live:
-        # 11.5 vectors
+        # through the inverse iteration only x, the factor (three vectors
+        # over all levels), its level buffers (one) and scratch (half) and
+        # two iterates are live: 7.5 vectors
         tracemalloc.start()
         try:
             gs = sturm_liouville_eigen(ModelParams(1.0, 20.0), 200_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 8 * gs.grid.size
+        assert peak <= 8 * 8 * gs.grid.size
 
     def test_rejects_tiny_grid(self, params_mu1_A20):
         with pytest.raises(DomainError):
@@ -149,14 +148,15 @@ class TestGridEigenAgainstLapack:
         params, seen = ModelParams(mu, A), {}
         solve = oracle._lowest_eigenvector
 
-        def recording(d, e):
-            seen["de"], seen["v"] = (d, e), solve(d, e)
+        def recording(de):
+            seen["de"] = tuple(de)  # the solve empties the list
+            seen["v"] = solve(de)
             return seen["v"]
 
         monkeypatch.setattr(oracle, "_lowest_eigenvector", recording)
         gs = sturm_liouville_eigen(params, n_grid)
         assert np.max(np.abs(seen["v"] - _lapack_vector(*seen["de"]))) <= 1e-9
-        monkeypatch.setattr(oracle, "_lowest_eigenvector", _lapack_vector)
+        monkeypatch.setattr(oracle, "_lowest_eigenvector", lambda de: _lapack_vector(*de))
         ref = sturm_liouville_eigen(params, n_grid)
         assert abs(gs.lambda_hat - ref.lambda_hat) <= 1e-12 * abs(ref.lambda_hat)
         assert np.max(np.abs(gs.q_hat - ref.q_hat)) <= 1e-9 * np.max(ref.q_hat)
@@ -173,7 +173,7 @@ class TestGridEigenAgainstLapack:
         # for bit the reference's result, twice in a row, and f untouched
         rng = np.random.default_rng(n)
         d, e = 2.5 + rng.random(n), -rng.random(n - 1)
-        factor = oracle._cr_factor(d, e)
+        factor = oracle._cr_factor([d, e])
         f, out = rng.random(n), np.empty(n)
         f0, ref = f.copy(), _cr_solve_allocating(factor, f)
         for _ in range(2):
