@@ -9,7 +9,9 @@ kernel:
   a symmetric tridiagonal eigenproblem by inverse iteration with odd-even
   cyclic reduction (at its peak 7.5 vectors of the grid's length are live:
   the grid, the factor's three, its level buffers and scratch, and two
-  iterates; 11.1 MiB at n_grid = 2e5), and
+  iterates; 11.1 MiB at n_grid = 2e5), with every dot product summed by
+  np.sum rather than BLAS, whose summation order follows OpenBLAS's thread
+  count, and
 * a Monte-Carlo simulator of the killed diffusion dR = dt + mu R dB by
   two-point weak Euler steps (one random bit per path-step) that advances
   all the paths as one array on one seeded stream.
@@ -131,8 +133,8 @@ def _lowest_eigenvector(de):
     :func:`_cr_factor` empties, by inverse iteration from the ones vector.
     The inverse of such a matrix is positive, so every iterate and the
     eigenvector are positive and the start overlaps it.  Through the
-    iteration only the factor, its buffers and two iterates are live.
-    Raises :class:`ConvergenceError` after SL_MAX_ITER steps."""
+    iteration only the factor, its buffers and two iterates are live, and
+    the norm is summed into the spent iterate.  Raises :class:`ConvergenceError` after SL_MAX_ITER steps."""
     n = de[0].size
     factor = _cr_factor(de)
     v, y = np.ones(n), np.empty(n)
@@ -142,7 +144,7 @@ def _lowest_eigenvector(de):
         change = float(np.max(np.abs(np.subtract(y, v, out=v), out=v)))
         v, y = y, v
         if change <= SL_TOL:
-            v /= np.linalg.norm(v)
+            v /= math.sqrt(np.sum(np.multiply(v, v, out=y)))
             return v
     raise ConvergenceError(
         f"inverse iteration moved the eigenvector by {change:.3g} after {SL_MAX_ITER} steps"
@@ -209,7 +211,7 @@ def sturm_liouville_eigen(params: ModelParams, n_grid: int) -> GridSolution:
     # Rayleigh quotient with phi^T K phi in its energy form
     # -sum_i pf_i (phi_{i+1} - phi_i)^2 (phi = 0 at A): a sum of like-signed
     # terms, where expanding K phi cancels to ~eps ||K|| / |lam| (2e-8 at 2e5 nodes)
-    lam_hat = float(-(pf @ np.diff(phi, append=0.0) ** 2) / (phi @ (mass * phi)))
+    lam_hat = float(-np.sum(pf * np.diff(phi, append=0.0) ** 2) / np.sum(phi * (mass * phi)))
     del pf, mass
     if not math.isfinite(lam_hat) or lam_hat > 0.0:
         raise ConvergenceError(f"discretized eigenvalue not converged: {lam_hat}")

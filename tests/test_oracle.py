@@ -85,6 +85,32 @@ class TestSturmLiouville:
             tracemalloc.stop()
         assert peak <= 8 * 8 * gs.grid.size
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: OpenBLAS starts one thread")
+    def test_blas_thread_count_gives_the_same_result(self):
+        # no BLAS call: a summation order that follows OpenBLAS's thread
+        # count moved the last bits of lambda_hat and q_hat
+        cases = [(1.0, 20.0, 20000), (2.0, 5000.0, 200000)]
+
+        def digests(gs):
+            return [gs.lambda_hat.hex(), hashlib.sha256(gs.q_hat.tobytes()).hexdigest()]
+
+        script = (
+            "import hashlib\n"
+            "from qsd_sr import ModelParams, sturm_liouville_eigen\n"
+            f"for mu, A, n in {cases!r}:\n"
+            "    gs = sturm_liouville_eigen(ModelParams(mu, A), n)\n"
+            "    print(gs.lambda_hat.hex(), hashlib.sha256(gs.q_hat.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        expected = [d for mu, A, n in cases
+                    for d in digests(sturm_liouville_eigen(ModelParams(mu, A), n))]
+        assert proc.stdout.split() == expected
+
     def test_rejects_tiny_grid(self, params_mu1_A20):
         with pytest.raises(DomainError):
             sturm_liouville_eigen(params_mu1_A20, 99)
