@@ -9,9 +9,8 @@ kernel:
   a symmetric tridiagonal eigenproblem by inverse iteration with odd-even
   cyclic reduction (at its peak 7.5 vectors of the grid's length are live:
   the grid, the factor's three, its level buffers and scratch, and two
-  iterates; 11.1 MiB at n_grid = 2e5), with every dot product summed by
-  np.sum rather than BLAS, whose summation order follows OpenBLAS's thread
-  count, and
+  iterates, 11.1 MiB at n_grid = 2e5; and no BLAS call, whose summation
+  order would follow OpenBLAS's thread count), and
 * a Monte-Carlo simulator of the killed diffusion dR = dt + mu R dB by
   two-point weak Euler steps (one random bit per path-step) that advances
   all the paths as one array on one seeded stream.
@@ -69,17 +68,17 @@ class EmpiricalLaw(namedtuple("EmpiricalLaw", "samples n_survivors n_paths_total
 
 def _cr_factor(de):
     """Odd-even cyclic reduction of the symmetric positive definite
-    tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``, passed as
-    the list ``de = [d, e]``.
+    tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``, handed
+    over as ``de = [d, e]``: it empties the list and frees both once the
+    first level is built.
 
-    The list is emptied: the factorization owns the two diagonals and frees
-    them once it has built its first level.  Each level eliminates the odd
-    unknowns from the even equations; this is Cholesky on the red-black
-    permuted matrix, so every Schur complement stays positive definite and
-    no pivoting is needed (Buzbee, Golub and Nielson, SIAM J. Numer. Anal.
-    7(4), 1970).  Returns the per-level multipliers ``(r, l, 1/d_odd)``, each
-    with a buffer ``g`` for the reduced system's vector, the last 1x1 pivot,
-    and scratch for a solve's products."""
+    Each level eliminates the odd unknowns from the even equations; this is
+    Cholesky on the red-black permuted matrix, so every Schur complement
+    stays positive definite and no pivoting is needed (Buzbee, Golub and
+    Nielson, SIAM J. Numer. Anal. 7(4), 1970).  Returns the per-level
+    multipliers ``(r, l, 1/d_odd)``, each with a buffer ``g`` for the reduced
+    system's vector, the last 1x1 pivot, and scratch for a solve's
+    products."""
     d, e = de
     de.clear()
     scratch = np.empty(d.size // 2)
@@ -128,13 +127,12 @@ SL_MAX_ITER = 100
 
 def _lowest_eigenvector(de):
     """Unit eigenvector of the smallest eigenvalue of the symmetric positive
-    definite tridiagonal matrix with diagonal ``d`` and negative
-    off-diagonal ``e``, passed as the list ``de = [d, e]`` that
-    :func:`_cr_factor` empties, by inverse iteration from the ones vector.
-    The inverse of such a matrix is positive, so every iterate and the
-    eigenvector are positive and the start overlaps it.  Through the
-    iteration only the factor, its buffers and two iterates are live, and
-    the norm is summed into the spent iterate.  Raises :class:`ConvergenceError` after SL_MAX_ITER steps."""
+    definite tridiagonal matrix with diagonal ``d`` and negative off-diagonal
+    ``e``, handed over as ``de = [d, e]`` (see :func:`_cr_factor`), by
+    inverse iteration from the ones vector.  The inverse of such a matrix is
+    positive, so every iterate and the eigenvector are positive and the
+    start overlaps it.  The norm's squares go to the spent iterate.  Raises
+    :class:`ConvergenceError` after SL_MAX_ITER steps."""
     n = de[0].size
     factor = _cr_factor(de)
     v, y = np.ones(n), np.empty(n)
@@ -157,10 +155,9 @@ def _speed_density(mu2, x):
 
 
 def _cells(mu2, x):
-    """The finite-volume discretization on the grid ``x``, whose last node A
-    carries the Dirichlet condition: the face conductances p(face)/h, the
-    speed density m(x_i) at the interior nodes and the cell masses
-    m(x_i) |cell i|."""
+    """Face conductances p(face)/h, speed density m(x_i) and cell masses
+    m(x_i) |cell i| of the finite-volume discretization on the grid ``x``
+    (interior nodes x[:-1]; x[-1] = A carries the Dirichlet condition)."""
     faces = 0.5 * (x[1:] + x[:-1])
     pf = np.exp(-2.0 / (mu2 * faces)) / (x[1:] - x[:-1])  # p(face)/h, p = e^{-2/(mu^2 x)}
     # the cell widths; cell 0 reaches half a step left of x[0]

@@ -28,6 +28,18 @@ from qsd_sr import (
 )
 
 
+def _child_stdout(script, **env):
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    package, with ``env`` added to the environment; return its stdout."""
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestSturmLiouville:
     def test_eigenvalue_agreement(self, sol_mu1_A20, params_mu1_A20):
         gs = sturm_liouville_eigen(params_mu1_A20, 20000)
@@ -90,10 +102,6 @@ class TestSturmLiouville:
         # no BLAS call: a summation order that follows OpenBLAS's thread
         # count moved the last bits of lambda_hat and q_hat
         cases = [(1.0, 20.0, 20000), (2.0, 5000.0, 200000)]
-
-        def digests(gs):
-            return [gs.lambda_hat.hex(), hashlib.sha256(gs.q_hat.tobytes()).hexdigest()]
-
         script = (
             "import hashlib\n"
             "from qsd_sr import ModelParams, sturm_liouville_eigen\n"
@@ -101,15 +109,11 @@ class TestSturmLiouville:
             "    gs = sturm_liouville_eigen(ModelParams(mu, A), n)\n"
             "    print(gs.lambda_hat.hex(), hashlib.sha256(gs.q_hat.tobytes()).hexdigest())\n"
         )
-        src = str(Path(oracle.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        expected = [d for mu, A, n in cases
-                    for d in digests(sturm_liouville_eigen(ModelParams(mu, A), n))]
-        assert proc.stdout.split() == expected
+        expected = []
+        for mu, A, n in cases:
+            gs = sturm_liouville_eigen(ModelParams(mu, A), n)
+            expected += [gs.lambda_hat.hex(), hashlib.sha256(gs.q_hat.tobytes()).hexdigest()]
+        assert _child_stdout(script, OPENBLAS_NUM_THREADS="1").split() == expected
 
     def test_rejects_tiny_grid(self, params_mu1_A20):
         with pytest.raises(DomainError):
@@ -360,14 +364,9 @@ class TestSimulation:
             "                         n_paths=40000, seed=9)\n"
             "print(hashlib.sha256(law.samples.tobytes()).hexdigest())\n"
         )
-        src = str(Path(oracle.__file__).resolve().parents[1])
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
-                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        stdout = _child_stdout(script, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
         law = simulate_killed_sr(params_mu1_A20, r=5.0, dt=1e-2, T=5.0, n_paths=40000, seed=9)
-        assert proc.stdout.split() == [hashlib.sha256(law.samples.tobytes()).hexdigest()]
+        assert stdout.split() == [hashlib.sha256(law.samples.tobytes()).hexdigest()]
 
     def test_touching_threshold_inside_a_block_kills(self):
         class FixedBits:
@@ -398,6 +397,23 @@ class TestSimulation:
         assert peak[0] >= A32 and free[0] < A32
         assert 0 not in alive
         assert got.size == alive.size and np.array_equal(got, R)
+
+    def test_working_set(self, params_mu1_A20):
+        # mc-oracle's batch (10k paths, T = 18): a block's float32 factors
+        # and unpacked bits take 5 bytes per path-step, and the next block's
+        # bits (one byte, plus a quarter for the packed draw and rng's copy
+        # of it) are drawn while the previous block's are still held.  The
+        # bound is fixed at MC_BLOCK = 2**20, so a grown block fails here
+        # before it overtakes the grid oracle as mc-oracle's peak
+        import numpy.random  # noqa: F401  (numpy loads it lazily: import it outside the trace)
+
+        tracemalloc.start()
+        try:
+            simulate_killed_sr(params_mu1_A20, r=5.0, dt=1e-3, T=18.0, n_paths=10_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.25 * 2**20 + 16 * 10_000
 
     def test_ks_smoke(self, sol_mu1_A20, params_mu1_A20):
         # coarse run; the full-size statistical gate lives in acceptance
