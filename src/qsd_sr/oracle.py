@@ -7,10 +7,10 @@ kernel:
   (d/dx)[p(x) phi'(x)] = lam m(x) phi(x), p(x) = (mu^2/2) x^2 m(x), with
   zero flux on the first cell face and a Dirichlet condition at A, solved as
   a symmetric tridiagonal eigenproblem by inverse iteration with odd-even
-  cyclic reduction (at its peak 7.5 vectors of the grid's length are live:
-  the grid, the factor's three, its level buffers and scratch, and two
-  iterates, 11.1 MiB at n_grid = 2e5; and no BLAS call, whose summation
-  order would follow OpenBLAS's thread count), and
+  cyclic reduction (at its peak 5.5 vectors of the grid's length are live:
+  the factor's three, its half-length buffer and two iterates, 8.1 MiB at
+  n_grid = 2e5; and no BLAS call, whose summation order would follow
+  OpenBLAS's thread count), and
 * a Monte-Carlo simulator of the killed diffusion dR = dt + mu R dB by
   two-point weak Euler steps (one random bit per path-step) that advances
   all the paths as one array on one seeded stream.
@@ -46,8 +46,9 @@ _LEFT_EXPONENT_CAP = 80.0
 # Monte Carlo: the noise is drawn in blocks of k = MC_BLOCK // alive steps
 # (at least one) of the alive paths, one random bit per path-step, unpacked
 # to one byte each and expanded into float32 step factors: 5 bytes per
-# path-step, 5 MB for a full block.  It is a constant, not the core or path
-# count, so it fixes the draw layout and every sample.
+# path-step, 5 MB for a full block, whose bits are freed before the next
+# block's are drawn.  It is a constant, not the core or path count, so it
+# fixes the draw layout and every sample.
 MC_BLOCK = 2**20
 
 
@@ -76,12 +77,12 @@ def _cr_factor(de):
     Cholesky on the red-black permuted matrix, so every Schur complement
     stays positive definite and no pivoting is needed (Buzbee, Golub and
     Nielson, SIAM J. Numer. Anal. 7(4), 1970).  Returns the per-level
-    multipliers ``(r, l, 1/d_odd)``, each with a buffer ``g`` for the reduced
-    system's vector, the last 1x1 pivot, and scratch for a solve's
-    products."""
+    multipliers ``(r, l, 1/d_odd)`` (three vectors over all levels), the
+    last 1x1 pivot, and a half-length buffer that holds a solve's first
+    reduced system."""
     d, e = de
     de.clear()
-    scratch = np.empty(d.size // 2)
+    n = d.size
     levels = []
     while d.size > 1:
         d_odd = d[1::2]
@@ -92,29 +93,38 @@ def _cr_factor(de):
         d_even[1:] -= l * e[1::2]
         e = -r[: l.size] * e[1::2]
         d = d_even
-        levels.append((r, l, 1.0 / d_odd, np.empty(d.size)))
-    return levels, d[0], scratch
+        levels.append((r, l, 1.0 / d_odd))
+    return levels, d[0], np.empty(n - n // 2)
 
 
 def _cr_solve(factor, f, out):
     """Solve with a :func:`_cr_factor` factorization into ``out``, leaving
-    ``f`` as it is.  Each level's ``g`` holds the reduced right-hand side on
-    the way down and the reduced solution on the way up, and the products
-    go to the factor's scratch, so a solve allocates no vector."""
+    ``f`` as it is, without allocating a vector.  The first reduced system
+    lives in the factor's buffer and the deeper ones are packed at the end
+    of ``out`` (about n/2 entries), whose start takes the products (at most
+    about n/4 below the first level); each reduced vector holds the
+    right-hand side on the way down and the solution on the way up.  Only
+    the last step, which fills all of ``out``, puts its products in the
+    factor's buffer once it is spent."""
     levels, pivot, t = factor
-    vecs = [out] + [g for *_, g in levels]  # the unknowns of each level
-    rhs = [f] + vecs[1:]
-    for (r, l, _, g), f in zip(levels, rhs):
+    rhs, end = [f, t][: len(levels) + 1], out.size  # each level's vector
+    for _, _, inv_d in levels[1:]:
+        size = rhs[-1].size - inv_d.size
+        rhs.append(out[end - size : end])
+        end -= size
+    for (r, l, _), f, g in zip(levels, rhs, rhs[1:]):
         f_odd = f[1::2]
         g[:] = f[0::2]
-        g[: r.size] -= np.multiply(r, f_odd, out=t[: r.size])
-        g[1:] -= np.multiply(l, f_odd[: l.size], out=t[: l.size])
-    np.divide(rhs[-1], pivot, out=vecs[-1])
-    for (r, l, inv_d, x), f, y in reversed(list(zip(levels, rhs, vecs))):
-        x_odd = np.multiply(f[1::2], inv_d, out=y[1::2])
-        x_odd -= np.multiply(r, x[: r.size], out=t[: r.size])
-        x_odd[: l.size] -= np.multiply(l, x[1:], out=t[: l.size])
+        g[: r.size] -= np.multiply(r, f_odd, out=out[: r.size])
+        g[1:] -= np.multiply(l, f_odd[: l.size], out=out[: l.size])
+    sol = [out] + rhs[1:]
+    np.divide(rhs[-1], pivot, out=sol[-1])
+    for (r, l, inv_d), f, y, x in reversed(list(zip(levels, rhs, sol, sol[1:]))):
         y[0::2] = x
+        x, p = y[0::2], (t if y is out else out)
+        x_odd = np.multiply(f[1::2], inv_d, out=y[1::2])
+        x_odd -= np.multiply(r, x[: r.size], out=p[: r.size])
+        x_odd[: l.size] -= np.multiply(l, x[1:], out=p[: l.size])
     return out
 
 
@@ -131,8 +141,9 @@ def _lowest_eigenvector(de):
     ``e``, handed over as ``de = [d, e]`` (see :func:`_cr_factor`), by
     inverse iteration from the ones vector.  The inverse of such a matrix is
     positive, so every iterate and the eigenvector are positive and the
-    start overlaps it.  The norm's squares go to the spent iterate.  Raises
-    :class:`ConvergenceError` after SL_MAX_ITER steps."""
+    start overlaps it.  Only the factor (three and a half vectors) and the
+    two iterates are live through it; the norm's squares go to the spent
+    iterate.  Raises :class:`ConvergenceError` after SL_MAX_ITER steps."""
     n = de[0].size
     factor = _cr_factor(de)
     v, y = np.ones(n), np.empty(n)
@@ -149,23 +160,50 @@ def _lowest_eigenvector(de):
     )
 
 
+def _grid(A, n_grid, first=0):
+    """The graded grid x_i = A (i/n)^2, i = first + 1 .. n."""
+    return A * (np.arange(first + 1, n_grid + 1, dtype=float) / n_grid) ** 2
+
+
 def _speed_density(mu2, x):
-    """m(x) = 2/(mu^2 x^2) exp(-2/(mu^2 x))."""
-    return 2.0 / (mu2 * x * x) * np.exp(-2.0 / (mu2 * x))
+    """m(x) = 2/(mu^2 x^2) exp(-2/(mu^2 x)), in the result and one temporary."""
+    m = mu2 * x * x
+    np.divide(2.0, m, out=m)
+    t = mu2 * x
+    np.divide(-2.0, t, out=t)
+    m *= np.exp(t, out=t)
+    return m
 
 
-def _cells(mu2, x):
-    """Face conductances p(face)/h, speed density m(x_i) and cell masses
-    m(x_i) |cell i| of the finite-volume discretization on the grid ``x``
-    (interior nodes x[:-1]; x[-1] = A carries the Dirichlet condition)."""
-    faces = 0.5 * (x[1:] + x[:-1])
-    pf = np.exp(-2.0 / (mu2 * faces)) / (x[1:] - x[:-1])  # p(face)/h, p = e^{-2/(mu^2 x)}
-    # the cell widths; cell 0 reaches half a step left of x[0]
-    mass = np.diff(faces, prepend=x[0] - 0.5 * (x[1] - x[0]))
+def _faces(x):
+    """The midpoints between the nodes of ``x``."""
+    faces = x[1:] + x[:-1]
+    faces *= 0.5
+    return faces
+
+
+def _masses(mu2, x):
+    """Cell masses m(x_i) |cell i| of the finite-volume discretization on
+    the grid ``x`` (interior nodes x[:-1]; x[-1] = A carries the Dirichlet
+    condition), and the speed density m(x_i)."""
+    faces = _faces(x)
+    mass = np.empty(faces.size)  # the cell widths; cell 0 reaches half a step left of x[0]
+    mass[0] = faces[0] - (x[0] - 0.5 * (x[1] - x[0]))
+    np.subtract(faces[1:], faces[:-1], out=mass[1:])
     del faces
     density = _speed_density(mu2, x[:-1])
     mass *= density
-    return pf, density, mass
+    return mass, density
+
+
+def _conductances(mu2, x):
+    """Face conductances p(face)/h on the grid ``x``, p = e^{-2/(mu^2 x)}."""
+    pf = _faces(x)
+    pf *= mu2
+    np.divide(-2.0, pf, out=pf)
+    np.exp(pf, out=pf)
+    pf /= x[1:] - x[:-1]
+    return pf
 
 
 def sturm_liouville_eigen(params: ModelParams, n_grid: int) -> GridSolution:
@@ -182,42 +220,66 @@ def sturm_liouville_eigen(params: ModelParams, n_grid: int) -> GridSolution:
     if not (isinstance(n_grid, Integral) and n_grid >= 100):
         raise DomainError(f"n_grid must be an integer of at least 100, got {n_grid!r}")
     mu2, A = params.mu2, params.A
-    x = A * (np.arange(1, n_grid + 1, dtype=float) / n_grid) ** 2
-    x = x[x >= 2.0 / (mu2 * _LEFT_EXPONENT_CAP)]
+    x = _grid(A, n_grid)
+    # x increases, so the nodes below the cut are its first ones
+    first = int(np.searchsorted(x, 2.0 / (mu2 * _LEFT_EXPONENT_CAP)))
+    x = x[first:]
     if x.size < 50:
         raise ConvergenceError("grid too coarse after left truncation")
 
     # the flux-difference stiffness K (zero flux through the left face of
     # cell 0) is negative definite; the top eigenvector of the pencil (K, M)
-    # is M^-1/2 times the lowest one of -M^-1/2 K M^-1/2.  Only x and the
-    # matrix live into the iteration, and the matrix is the factorization's
-    # to free: pf, the density, the masses and M^-1/2 are recomputed after it
-    pf, density, mass = _cells(mu2, x)
-    scale = 1.0 / np.sqrt(mass)
-    del density, mass
+    # is M^-1/2 times the lowest one of -M^-1/2 K M^-1/2.  Only the matrix
+    # lives into the iteration, and it is the factorization's to free: the
+    # grid, pf, the density, the masses and M^-1/2 are rebuilt after it.
+    # Each array is built by in-place ops that keep the plain expression's
+    # operation order: one allocation, and at most one temporary at a time
+    scale = _masses(mu2, x)[0]
+    np.sqrt(scale, out=scale)
+    np.divide(1.0, scale, out=scale)
+    pf = _conductances(mu2, x)
+    del x
     d = pf.copy()
     d[1:] += pf[:-1]
     d *= scale
     d *= scale
-    de = [d, -pf[:-1] * scale[:-1] * scale[1:]]
-    del pf, scale, d
+    e = np.negative(pf[:-1])
+    e *= scale[:-1]
+    e *= scale[1:]
+    de = [d, e]
+    del pf, scale, d, e
     phi = _lowest_eigenvector(de)
-    pf, density, mass = _cells(mu2, x)
-    phi = phi * (1.0 / np.sqrt(mass))  # not in place: the returned vector stays as it is
 
+    x = _grid(A, n_grid, first)
+    mass, density = _masses(mu2, x)
+    scale = np.sqrt(mass)
+    np.divide(1.0, scale, out=scale)
+    phi = np.multiply(scale, phi, out=scale)  # not in place: the returned vector stays as it is
     # Rayleigh quotient with phi^T K phi in its energy form
     # -sum_i pf_i (phi_{i+1} - phi_i)^2 (phi = 0 at A): a sum of like-signed
     # terms, where expanding K phi cancels to ~eps ||K|| / |lam| (2e-8 at 2e5 nodes)
-    lam_hat = float(-np.sum(pf * np.diff(phi, append=0.0) ** 2) / np.sum(phi * (mass * phi)))
-    del pf, mass
+    mass *= phi
+    mass *= phi
+    norm = np.sum(mass)
+    del mass
+    pf = _conductances(mu2, x)
+    dphi = np.empty(phi.size)  # np.diff(phi, append=0.0) ** 2
+    np.subtract(phi[1:], phi[:-1], out=dphi[:-1])
+    dphi[-1] = 0.0 - phi[-1]
+    dphi **= 2
+    dphi *= pf
+    lam_hat = float(-np.sum(dphi) / norm)
+    del pf, dphi
     if not math.isfinite(lam_hat) or lam_hat > 0.0:
         raise ConvergenceError(f"discretized eigenvalue not converged: {lam_hat}")
 
-    # positive: _lowest_eigenvector returns a positive vector
-    q_hat = density * phi
-    # report the Dirichlet node explicitly: q(A) = 0 is imposed, not solved
-    q_hat = np.append(q_hat, 0.0)
-    q_hat = q_hat / np.trapezoid(q_hat, x)
+    # positive: _lowest_eigenvector returns a positive vector; the
+    # Dirichlet node is reported explicitly: q(A) = 0 is imposed, not solved
+    q_hat = np.empty(x.size)
+    np.multiply(density, phi, out=q_hat[:-1])
+    q_hat[-1] = 0.0
+    del density, phi
+    q_hat /= np.trapezoid(q_hat, x)
     return GridSolution(grid=x, lambda_hat=lam_hat, q_hat=q_hat)
 
 
@@ -242,6 +304,7 @@ def _advance(rng, R, c, dt32, A32, n_steps):
         bits = np.unpackbits(np.frombuffer(rng.bytes((m + 7) // 8), np.uint8), count=m)
         F = np.multiply(bits, jump, out=buf[:m]).reshape(k, R.size)
         F += down  # bit 1 is the up step
+        del bits  # spent: freed before the next block's are drawn
         M = M[: R.size]
         np.copyto(M, R)  # a headstart at or above A dies with the first block
         for f in F:
