@@ -215,7 +215,7 @@ def _exact():
         for a in (5.0, 20.0, 100.0):
             sol = qsd.build_solution(ModelParams(mu=mu, A=a))
             total, _ = _quad(lambda x: qsd.pdf(x, sol), 0.0, a, epsabs=1e-11, epsrel=1e-10)
-            yield _check(f"normalization_mu{mu}_A{a:g}", "exact", abs(total - 1.0), 1e-8)
+            yield _check(f"normalization_mu{mu}_A{a:g}", "exact", abs(total - 1.0), 1e-10)
             flux = qsd.boundary_flux_identity(sol)
             yield _check(f"boundary_flux_mu{mu}_A{a:g}", "exact",
                          abs(flux - sol.se.lam) / abs(sol.se.lam), 3e-12)
@@ -224,14 +224,14 @@ def _exact():
 def _identities():
     for b, z in ((0.2, 1.0), (0.5, 2.0), (0.25j, 0.5)):
         yield _check(f"integral_identity_b{b}_z{z}", "identities",
-                     integral_identity_check(b, z), 1e-8)
+                     integral_identity_check(b, z), 1e-10)
     for k in (1, 2, 3):
         for x in (0.5, 2.0, 10.0):
             yield _check(f"index_derivative_k{k}_x{x:g}", "identities",
                          index_derivative_check(k, x), 3e-13)
     x = 2.0
     alt, _ = _quad(lambda y: exp_scaled_e1(y) / y, x, math.inf, epsabs=1e-12, epsrel=1e-11)
-    yield _check("meijer_g_tail_form_x2", "identities", abs(meijer_g_special(x) - alt), 1e-9)
+    yield _check("meijer_g_tail_form_x2", "identities", abs(meijer_g_special(x) - alt), 1e-11)
 
 
 def _sl():

@@ -88,9 +88,9 @@ def _check_domain(params: ModelParams) -> None:
     """Raise :class:`DomainError` unless C_MIN <= c = mu^2 A <= C_MAX."""
     c = params.mu2 * params.A
     if not (c >= C_MIN):
-        raise DomainError(f"mu^2 A = {c:.6g} lies below the checked domain mu^2 A >= {C_MIN}")
+        raise DomainError(f"mu^2 A = {c!r} lies below the checked domain mu^2 A >= {C_MIN}")
     if not (c <= C_MAX):
-        raise DomainError(f"mu^2 A = {c:.6g} lies above the checked domain mu^2 A <= {C_MAX:g}")
+        raise DomainError(f"mu^2 A = {c!r} lies above the checked domain mu^2 A <= {C_MAX:g}")
 
 
 def _eigen_terms(c: float) -> tuple:

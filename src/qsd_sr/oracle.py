@@ -7,8 +7,9 @@ kernel:
   (d/dx)[p(x) phi'(x)] = lam m(x) phi(x), p(x) = (mu^2/2) x^2 m(x), with
   zero flux on the first cell face and a Dirichlet condition at A, solved as
   a symmetric tridiagonal eigenproblem by inverse iteration with odd-even
-  cyclic reduction (at its peak 5.5 vectors of the grid's length are live:
-  the factor's three, its half-length buffer and two iterates, 8.1 MiB at
+  cyclic reduction, whose solve works in place in strided views of a
+  half-length buffer (at its peak 5.5 vectors of the grid's length are live:
+  the factor's three, that buffer and two iterates, 8.1 MiB at
   n_grid = 2e5; and no BLAS call, whose summation order would follow
   OpenBLAS's thread count), and
 * a Monte-Carlo simulator of the killed diffusion dR = dt + mu R dB by
@@ -78,8 +79,8 @@ def _cr_factor(de):
     stays positive definite and no pivoting is needed (Buzbee, Golub and
     Nielson, SIAM J. Numer. Anal. 7(4), 1970).  Returns the per-level
     multipliers ``(r, l, 1/d_odd)`` (three vectors over all levels), the
-    last 1x1 pivot, and a half-length buffer that holds a solve's first
-    reduced system."""
+    last 1x1 pivot, and a half-length buffer that holds a solve's reduced
+    systems, each level's in the even entries of the one above."""
     d, e = de
     de.clear()
     n = d.size
@@ -99,28 +100,23 @@ def _cr_factor(de):
 
 def _cr_solve(factor, f, out):
     """Solve with a :func:`_cr_factor` factorization into ``out``, leaving
-    ``f`` as it is, without allocating a vector.  The first reduced system
-    lives in the factor's buffer and the deeper ones are packed at the end
-    of ``out`` (about n/2 entries), whose start takes the products (at most
-    about n/4 below the first level); each reduced vector holds the
-    right-hand side on the way down and the solution on the way up.  Only
-    the last step, which fills all of ``out``, puts its products in the
-    factor's buffer once it is spent."""
+    ``f`` as it is, without allocating a vector.  The reduced system of
+    level k >= 1 lives in the strided view ``t[::2**(k-1)]`` of the factor's
+    buffer ``t``, right-hand side on the way down and solution on the way
+    up, so each level's even entries are the next level's system; the
+    products go to ``out`` until the last step fills it, and to ``t`` then."""
     levels, pivot, t = factor
-    rhs, end = [f, t][: len(levels) + 1], out.size  # each level's vector
-    for _, _, inv_d in levels[1:]:
-        size = rhs[-1].size - inv_d.size
-        rhs.append(out[end - size : end])
-        end -= size
+    rhs = [f] + [t[:: 2**k] for k in range(len(levels))]  # each level's vector
+    t[:] = f[0::2]
     for (r, l, _), f, g in zip(levels, rhs, rhs[1:]):
         f_odd = f[1::2]
-        g[:] = f[0::2]
         g[: r.size] -= np.multiply(r, f_odd, out=out[: r.size])
         g[1:] -= np.multiply(l, f_odd[: l.size], out=out[: l.size])
     sol = [out] + rhs[1:]
     np.divide(rhs[-1], pivot, out=sol[-1])
     for (r, l, inv_d), f, y, x in reversed(list(zip(levels, rhs, sol, sol[1:]))):
-        y[0::2] = x
+        if y is out:  # the deeper levels need no copy: they are solved in t
+            out[0::2] = x
         x, p = y[0::2], (t if y is out else out)
         x_odd = np.multiply(f[1::2], inv_d, out=y[1::2])
         x_odd -= np.multiply(r, x[: r.size], out=p[: r.size])

@@ -3,7 +3,6 @@
 Everything the rest of the package needs is built from a handful of classical
 special functions evaluated in plain double precision:
 
-* the Gamma function for complex arguments (Lanczos approximation),
 * the Whittaker W function ``W_{a,b}(z)`` for first index ``a`` in {0, 1, 2},
   second index ``b`` either real in [0, 1/2] or purely imaginary, and real
   ``z`` in [2/C_MAX, 1e100], all from one trapezoid sum of a modified-Bessel
@@ -15,6 +14,10 @@ special functions evaluated in plain double precision:
 * the correction kernel ``L(x) = exp(x) E1(x) - 1 + x G(x)``,
 * the speed density ``m(x) = (2/(mu^2 x^2)) exp(-2/(mu^2 x))``, the
   stationary density of the underlying diffusion.
+
+It also keeps :func:`gamma_cx`, the Gamma function for complex arguments
+(Lanczos approximation), which nothing else in the package calls; the
+benchmark's per-layer probes still time it.
 
 The functions hold no global mutable state.  The one mutable thing is per
 index: a :class:`WhittakerIndex` fills its rows cosh(b t_k) v_k^j on the

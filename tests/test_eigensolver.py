@@ -210,6 +210,15 @@ class TestCheckedDomain:
             with pytest.raises(DomainError):
                 build_approx(p, order)
 
+    @pytest.mark.parametrize("A, side, bound", [(math.nextafter(C_MIN, 0.0), "below", C_MIN),
+                                                (C_MAX * (1 + 2**-52), "above", C_MAX)])
+    def test_message_tells_c_from_the_bound(self, A, side, bound):
+        # one ulp outside the domain: c to six digits printed as the bound
+        with pytest.raises(DomainError, match=f"lies {side} the checked domain") as exc:
+            dominant_eigenvalue(ModelParams(mu=1.0, A=A))
+        printed = str(exc.value).split(" = ")[1].split(" lies")[0]
+        assert float(printed) == A != bound
+
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
     def test_law_at_c_min(self, mu):
         p = ModelParams(mu=mu, A=C_MIN / mu**2)

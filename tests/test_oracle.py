@@ -87,9 +87,9 @@ class TestSturmLiouville:
 
     def test_working_set(self):
         # through the inverse iteration only the factor (three vectors over
-        # all levels, and a half-length buffer for the first reduced system)
-        # and two iterates are live: 5.5 vectors.  The matrix build before
-        # it holds about four (the two diagonals, pf and M^-1/2 at most),
+        # all levels, and a half-length buffer that holds every reduced
+        # system) and two iterates are live: 5.5 vectors.  The matrix build
+        # before it holds about four (the two diagonals, pf and M^-1/2 at most),
         # and the Rayleigh quotient after it five (the grid, the density,
         # phi M^-1/2, pf and the squared differences)
         tracemalloc.start()
@@ -200,12 +200,12 @@ class TestGridEigenAgainstLapack:
         lam = sturm_liouville_eigen(ModelParams(mu, A), n_grid).lambda_hat
         assert abs(lam - ref) < 1e-9 * abs(ref)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9, 1000, 1001])
+    @pytest.mark.parametrize("n", sorted({*range(1, 65), 1000, 1001,
+                                          *(2**k + j for k in range(7, 13) for j in (-1, 0, 1))}))
     def test_in_place_solve_matches_allocating_reference(self, n):
-        # the solve works in the factor's buffer and the output vector (at
-        # n = 3, 5 and 9 its packed systems leave one entry of out free for
-        # the products): bit for bit the reference's result, twice in a
-        # row, and f untouched
+        # the solve works in strided views of the factor's buffer, whose
+        # sizes take every parity over these n, and in the output vector:
+        # bit for bit the reference's result, twice in a row, and f untouched
         rng = np.random.default_rng(n)
         d, e = 2.5 + rng.random(n), -rng.random(n - 1)
         factor = oracle._cr_factor([d, e])
@@ -214,6 +214,21 @@ class TestGridEigenAgainstLapack:
         for _ in range(2):
             assert oracle._cr_solve(factor, f, out) is out
             assert np.array_equal(out, ref) and np.array_equal(f, f0)
+
+    def test_in_place_solve_allocates_no_array(self):
+        # the levels are views of the factor's buffer and the output vector:
+        # the peak is a few hundred bytes per level of view objects
+        n = 200_000
+        rng = np.random.default_rng(0)
+        factor = oracle._cr_factor([2.5 + rng.random(n), -rng.random(n - 1)])
+        f, out = rng.random(n), np.empty(n)
+        tracemalloc.start()
+        try:
+            oracle._cr_solve(factor, f, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_cap_raises(self, monkeypatch):
         monkeypatch.setattr(oracle, "SL_MAX_ITER", 3)
