@@ -14,7 +14,8 @@ kernel:
   OpenBLAS's thread count), and
 * a Monte-Carlo simulator of the killed diffusion dR = dt + mu R dB by
   two-point weak Euler steps (one random bit per path-step) that advances
-  all the paths as one array on one seeded stream.
+  all the paths as one array on one seeded stream, drawing the bits per
+  block and expanding them into step factors per cache-sized slice.
 
 Everything here needs numpy and nothing else.  The pure-Python quadrature
 and identity residuals live in :mod:`qsd_sr.checks`.
@@ -45,11 +46,13 @@ __all__ = [
 _LEFT_EXPONENT_CAP = 80.0
 
 # Monte Carlo: the noise is drawn in blocks of k = MC_BLOCK // alive steps
-# (at least one) of the alive paths, one random bit per path-step, unpacked
-# to one byte each and expanded into float32 step factors: 5 bytes per
-# path-step, 5 MB for a full block, whose bits are freed before the next
-# block's are drawn.  It is a constant, not the core or path count, so it
-# fixes the draw layout and every sample.
+# (at least one) of the alive paths, one random bit per path-step, 1/8 byte
+# per path-step and 128 KiB for a full block.  The bits are unpacked to one
+# byte each and expanded into float32 step factors one slice of at most
+# MC_BLOCK // 8 path-steps (at least one step) at a time, 5/8 MiB for a full
+# slice, so the factors a step reads are still in cache; the slice size
+# does not enter the samples.  MC_BLOCK is a constant, not the core or path
+# count, so it fixes the draw layout and every sample.
 MC_BLOCK = 2**20
 
 
@@ -283,30 +286,38 @@ def _advance(rng, R, c, dt32, A32, n_steps):
     """Advance the float32 paths R (in place) by two-point steps
     R <- R (1 + c) + dt or R (1 - c) + dt, one random bit of ``rng`` per
     path-step, in blocks of k = MC_BLOCK // R.size steps (at least one) whose
-    bits are one ``rng.bytes`` call; a running maximum kills at the end of
-    each block every path that reached A at any grid step of it.  Returns
-    the survivors.  Per-step rounding (~1e-7 relative) is far below the
-    statistical tolerances this simulator serves."""
+    bits are one ``rng.bytes`` call.  A block's bits are unpacked and turned
+    into factors in slices of MC_BLOCK // 8 // R.size steps (at least one),
+    whose first bit may lie mid-byte, in one reused buffer; each slice's
+    steps run before the next slice is built.  A running maximum over the
+    whole block kills at its end every path that reached A at any grid step
+    of it, so the slices change no sample.  Returns the survivors.  Per-step
+    rounding (~1e-7 relative) is far below the statistical tolerances this
+    simulator serves."""
     down = 1 - c
     # for |c| <= 1/2 both factors are multiples of 2**-24 in [1/2, 3/2], so
     # jump is exact and F is fl(1 + c) or fl(1 - c); above, the up factor
     # may be one ulp off
     jump = (1 + c) - down
-    buf = np.empty(max(MC_BLOCK, R.size), np.float32)
+    buf = np.empty(max(MC_BLOCK // 8, R.size), np.float32)
     M = np.empty_like(R)
     while n_steps and R.size:
-        k = max(1, min(n_steps, MC_BLOCK // R.size))
-        m = k * R.size
-        bits = np.unpackbits(np.frombuffer(rng.bytes((m + 7) // 8), np.uint8), count=m)
-        F = np.multiply(bits, jump, out=buf[:m]).reshape(k, R.size)
-        F += down  # bit 1 is the up step
-        del bits  # spent: freed before the next block's are drawn
-        M = M[: R.size]
+        n = R.size
+        k = max(1, min(n_steps, MC_BLOCK // n))
+        m, step = k * n, max(1, MC_BLOCK // 8 // n) * n  # path-steps per block, slice
+        packed = np.frombuffer(rng.bytes((m + 7) // 8), np.uint8)
+        M = M[:n]
         np.copyto(M, R)  # a headstart at or above A dies with the first block
-        for f in F:
-            R *= f
-            R += dt32
-            np.maximum(M, R, out=M)
+        for i in range(0, m, step):  # a slice's first path-step, maybe mid-byte
+            j = min(i + step, m)
+            bits = np.unpackbits(packed[i // 8 : (j + 7) // 8], count=j - i // 8 * 8)
+            F = np.multiply(bits[i % 8 :], jump, out=buf[: j - i]).reshape(-1, n)
+            F += down  # bit 1 is the up step
+            del bits  # spent: freed before the next slice's are unpacked
+            for f in F:
+                R *= f
+                R += dt32
+                np.maximum(M, R, out=M)
         R = R[M < A32]
         n_steps -= k
     return R

@@ -334,11 +334,14 @@ class TestSimulation:
             simulate_killed_sr(ModelParams(mu=15.0, A=20.0), r=5.0, dt=1e-2, T=1.0,
                                n_paths=2000, seed=1)
 
-    @pytest.mark.parametrize("n_paths", [7, 100], ids=["steps-per-block", "paths-over-block"])
+    @pytest.mark.parametrize("n_paths", [7, 3, 100],
+                             ids=["steps-per-block", "partial-slices", "paths-over-block"])
     def test_block_layout(self, monkeypatch, n_paths):
         # a block of k = MC_BLOCK // alive steps (at least one) draws its
-        # bits in one rng.bytes((k alive + 7) // 8) call; a step-by-step
-        # reference on the same bits keeps the same survivors
+        # bits in one rng.bytes((k alive + 7) // 8) call and expands them in
+        # slices of MC_BLOCK // 8 // alive steps (at least one); a step-by-step
+        # reference on the same bits keeps the same survivors, so the slices
+        # are not part of the draw layout
         class RecordedBits:
             def __init__(self, seed):
                 self.rng, self.draws = np.random.default_rng(seed), []
@@ -366,6 +369,9 @@ class TestSimulation:
         assert left == 0 and len(rng.draws) > 1
         if n_paths > block:
             assert len(rng.draws[0]) == (n_paths + 7) // 8  # one step
+        if n_paths == 3:  # 21 steps in slices of 2 (6 bits): mid-byte starts, a partial last
+            k, s = block // n_paths, block // 8 // n_paths
+            assert k % s and s * n_paths % 8
         assert 0 < got.size < n_paths and np.array_equal(got, R)
 
     def test_simd_dispatch_gives_the_same_samples(self, params_mu1_A20):
@@ -388,7 +394,7 @@ class TestSimulation:
         law = simulate_killed_sr(params_mu1_A20, r=5.0, dt=1e-2, T=5.0, n_paths=40000, seed=9)
         assert stdout.split() == [hashlib.sha256(law.samples.tobytes()).hexdigest()]
 
-    def test_touching_threshold_inside_a_block_kills(self):
+    def test_touching_threshold_inside_a_block_kills(self, monkeypatch):
         class FixedBits:
             def __init__(self, bits):
                 self.bits = bits
@@ -398,6 +404,9 @@ class TestSimulation:
                 assert n == (self.bits.size + 7) // 8
                 return np.packbits(self.bits).tobytes()
 
+        # one block of 50 steps (MC_BLOCK // 8 = 64 >= 50), expanded in
+        # slices of MC_BLOCK // 8 // 8 = 8 steps
+        monkeypatch.setattr(oracle, "MC_BLOCK", 512)
         mu, A, r, dt, n_paths, n_steps = 1.0, 20.0, 5.0, 1e-2, 8, 50
         bits = np.random.default_rng(0).integers(0, 2, (n_steps, n_paths), dtype=np.uint8)
         bits[:16, 0], bits[16:, 0] = 1, 0  # path 0 climbs above A, then falls back below
@@ -408,32 +417,39 @@ class TestSimulation:
         factors = np.where(bits == 1, np.float32(1) + c, np.float32(1) - c)
         free = np.full(n_paths, np.float32(r))  # the same paths without the kill
         R, alive = free.copy(), np.arange(n_paths)
-        peak = free.copy()
+        path0 = []
         for row in factors:
             free = free * row + dt32
-            peak = np.maximum(peak, free)
+            path0.append(free[0])
             R = R * row[alive] + dt32
             alive, R = alive[R < A32], R[R < A32]
-        assert peak[0] >= A32 and free[0] < A32
+        above = np.flatnonzero(np.array(path0) >= A32)
+        first, back = above[0], above[-1] + 1  # path 0 is at or above A from first to back
+        assert first // 8 < back // 8 and back < n_steps  # back below A in a later slice
         assert 0 not in alive
         assert got.size == alive.size and np.array_equal(got, R)
 
     def test_working_set(self, params_mu1_A20):
-        # mc-oracle's batch (10k paths, T = 18): a block's float32 factors
-        # and unpacked bits take 5 bytes per path-step, plus a quarter for
-        # the packed draw and rng's copy of it; the previous block's bits
-        # are freed before the next block's are drawn.  The bound is fixed
-        # at MC_BLOCK = 2**20, so a grown block fails here before it
-        # overtakes the grid oracle as mc-oracle's peak
+        # the factors are built in slices of MC_BLOCK // 8 path-steps (at
+        # least one step) in one reused float32 buffer, from bits unpacked
+        # per slice and freed before the next slice's.  At mc-oracle's batch
+        # (10k paths, T = 18) that is 0.5 MiB of factors, three 1/8 MiB
+        # copies of a block's packed bits (the spent block's, rng's draw and
+        # its bytes) and R and M, 8 bytes per path.  At criterion 9's 200k
+        # paths every slice is one step: R, M, the factors and the compacted
+        # R take 16 bytes per path, the kill mask and a block's bits about 2.
+        # The bounds hold at MC_BLOCK = 2**20, so a grown block or slice fails here
         import numpy.random  # noqa: F401  (numpy loads it lazily: import it outside the trace)
 
-        tracemalloc.start()
-        try:
-            simulate_killed_sr(params_mu1_A20, r=5.0, dt=1e-3, T=18.0, n_paths=10_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5.25 * 2**20 + 16 * 10_000
+        for n_paths, T, bound in [(10_000, 18.0, 0.875 * 2**20 + 16 * 10_000),
+                                  (200_000, 0.05, 18 * 200_000)]:
+            tracemalloc.start()
+            try:
+                simulate_killed_sr(params_mu1_A20, r=5.0, dt=1e-3, T=T, n_paths=n_paths, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (n_paths, peak)
 
     def test_ks_smoke(self, sol_mu1_A20, params_mu1_A20):
         # coarse run; the full-size statistical gate lives in acceptance
