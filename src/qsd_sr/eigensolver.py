@@ -12,11 +12,12 @@ double.  The root is searched inside the closed-form bracket obtained from
 non-negativity of the law's variance.  One 65-node uniform scan of the
 bracket locates every sign change (the bracket provably contains the
 dominant root, but uniqueness inside it is an empirical matter, hence the
-runtime check); the single sign change is bisected until its ends are
-adjacent doubles, which leaves lam within about eps c/8 relative of the true
-root.  Every evaluation shares the argument z_A, so the terms of the
-kernel's trapezoid sum are computed once per solve and each evaluation only
-weights them by cosh(b t_k), b = sqrt(s)/2.
+runtime check); the single sign change is narrowed by ITP (:func:`_itp`,
+the routine :func:`qsd.mode` shares) until its ends are adjacent doubles,
+which leaves lam within about eps c/8 relative of the true root.  Every
+evaluation shares the argument z_A, so the terms of the kernel's trapezoid
+sum are computed once per solve and each evaluation only weights them by
+cosh(b t_k), b = sqrt(s)/2.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ __all__ = [
 
 # the number of scan intervals
 SCAN_NODES = 64
+# The bracket width, in ulps of its larger end, at which _itp stops
+# interpolating.  Rounding noise gives the eigen equation up to 5 sign
+# changes over up to 17 ulps of s around its root (1001 log-spaced c in
+# [C_MIN, C_MAX]); this is the smallest power of two whose half spans that.
+ENDGAME_ULPS = 64
 
 
 class EigenBracket(namedtuple("EigenBracket", "lo hi")):
@@ -50,7 +56,8 @@ class EigenResult(namedtuple("EigenResult", "lam b residual iterations")):
     """The dominant eigenvalue lam and its second Whittaker index
     b = xi(lam)/2, both formed from the solver's root s = xi^2, so the law
     depends on (mu, A) only through c = mu^2 A; plus the residual |W| at the
-    root and the count of equation evaluations."""
+    root and the count of equation evaluations: the scan's 65 plus the ITP
+    steps."""
 
     __slots__ = ()
 
@@ -110,20 +117,43 @@ def _eigen_equation(s: float, terms: tuple) -> float:
     return sum(map(mul, ws, _cosh_bts(0.5 * cmath.sqrt(s), ts)))
 
 
-def _polish(f, a: float, b: float, fa: float, fb: float):
-    """Bisect the sign change of f on [a, b] until the midpoint no longer
-    splits the interval or f vanishes there.  Returns (root, |f(root)|,
-    evaluations), the root being the end with the smaller |f|."""
+def _itp(f, a: float, b: float, fa: float, fb: float):
+    """Narrow the sign change of f on [a, b] to adjacent doubles, or to a
+    point where f vanishes, by ITP (Oliveira and Takahashi, ACM TOMS 47(1),
+    2020) with k1 = 0.2/(b - a), k2 = 2 and n0 = 1.  Each step takes the
+    regula falsi point, moves it towards the midpoint by
+    delta = k1 (b - a)^2, and projects it into the radius about the
+    midpoint that keeps the bracket after j steps no wider than bisection's
+    after j - n0: a stalled interpolation costs at most n0 steps more than
+    bisection.  Within ENDGAME_ULPS ulps of the root the sign of f can be
+    rounding noise, so delta is at least half that width (a step from one
+    side of the noise clears it) and a bracket that narrow is bisected.
+    Returns (root, |f(root)|, evaluations), the root being the end with the
+    smaller |f|."""
     evals = 0
+    k1 = 0.2 / (b - a)
+    envelope = 2.0 * (b - a)  # 2^n0 (b - a), halved before each step
     while a < (m := 0.5 * (a + b)) < b:
-        fm = f(m)
+        w = b - a
+        envelope *= 0.5
+        x = m
+        endgame = ENDGAME_ULPS * math.ulp(max(-a, b))
+        if w > endgame:
+            xf = a + w * (fa / (fa - fb))  # regula falsi
+            delta = max(k1 * w * w, 0.5 * endgame)
+            xt = min(xf + delta, m) if xf < m else max(xf - delta, m)  # truncation
+            r = envelope - 0.5 * w
+            xi = min(max(xt, m - r), m + r)  # projection
+            if a < xi < b:  # false for nan from an infinite end value
+                x = xi
+        fx = f(x)
         evals += 1
-        if fm == 0.0:
-            return m, 0.0, evals
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = m, fm
+        if fx == 0.0:
+            return x, 0.0, evals
+        if (fa < 0.0) != (fx < 0.0):
+            b, fb = x, fx
         else:
-            a, fa = m, fm
+            a, fa = x, fx
     return (a, abs(fa), evals) if abs(fa) <= abs(fb) else (b, abs(fb), evals)
 
 
@@ -132,14 +162,14 @@ def dominant_eigenvalue(params: ModelParams) -> EigenResult:
 
     Works in s = 1 + 8 lam/mu^2 at c = mu^2 A.  Evaluates the eigen equation
     at the 65 nodes of a uniform 64-interval grid over the analytic bracket.
-    Exactly one sign change is bisected down to adjacent doubles in s, so
-    lam carries about eps c/8 relative error; a solve takes 71-116
-    evaluations for c from 0.5 to 1e9.  No sign change raises
-    :class:`BracketError`; several raise :class:`AmbiguousRootError` with
-    every candidate polished (both in lam).  A finer grid cannot help: it
-    contains every node of the coarser one, so it only keeps or adds sign
-    changes.  Raises :class:`DomainError` for ``c = mu^2 A`` outside
-    [C_MIN, C_MAX].
+    Exactly one sign change is narrowed by ITP down to adjacent doubles in
+    s, so lam carries about eps c/8 relative error; a solve takes 71-85
+    evaluations (mean 77.5 over 1001 log-spaced c from 0.5 to 1e9), of
+    which the scan is 65.  No sign change raises :class:`BracketError`;
+    several raise :class:`AmbiguousRootError` with every candidate polished
+    (both in lam).  A finer grid cannot help: it contains every node of the
+    coarser one, so it only keeps or adds sign changes.  Raises
+    :class:`DomainError` for ``c = mu^2 A`` outside [C_MIN, C_MAX].
     """
     _check_domain(params)
     mu2 = params.mu2
@@ -162,7 +192,7 @@ def dominant_eigenvalue(params: ModelParams) -> EigenResult:
         intervals.append((xs[-1], xs[-1], 0.0, 0.0))
     if not intervals:
         raise BracketError(_lam(lo, mu2), _lam(hi, mu2), vs[0], vs[-1])
-    roots = [(a, 0.0, 0) if a == b else _polish(eq, a, b, fa, fb) for a, b, fa, fb in intervals]
+    roots = [(a, 0.0, 0) if a == b else _itp(eq, a, b, fa, fb) for a, b, fa, fb in intervals]
     if len(roots) > 1:
         raise AmbiguousRootError(sorted(_lam(s, mu2) for s, _, _ in roots))
 

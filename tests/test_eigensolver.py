@@ -24,6 +24,7 @@ from qsd_sr import (
     whittaker_w_scaled,
 )
 from qsd_sr import eigensolver
+from qsd_sr import qsd as qsd_module
 from qsd_sr.specfun import C_MAX, C_MIN, _cosh_bts
 
 PARAM_SWEEP = [(mu, A) for mu in (0.5, 1.0, 1.5) for A in (5.0, 20.0, 100.0)]
@@ -165,6 +166,112 @@ class TestSingleScan:
         assert len(exc.value.roots) == 3
         assert list(exc.value.roots) == sorted(exc.value.roots)
         assert exc.value.roots == pytest.approx(sorted(roots), abs=1e-12)
+
+
+# stalling cases for regula falsi: a steep one-sided step keeps the far end
+# fixed, and so does a cubic (s - r)^3 whose far end lies 1e4 root-gaps away
+ROOT = 0.1
+STALLING = {
+    "step-up": (lambda x: -1.0 if x < ROOT else 1e300, 0.0, 1.0),
+    "step-down": (lambda x: 1e300 if x < ROOT else -1.0, 0.0, 1.0),
+    "cubic-far-right": (lambda x: (x - ROOT) ** 3, ROOT - 1e-3, 10.0),
+    "cubic-far-left": (lambda x: (ROOT - x) ** 3, -10.0, ROOT + 1e-3),
+}
+
+
+class TestItp:
+    N0 = 1  # the routine's n0
+
+    @staticmethod
+    def bisection_evals(f, a, b):
+        fa, evals = f(a), 0
+        while a < (m := 0.5 * (a + b)) < b:
+            fm = f(m)
+            evals += 1
+            if fm == 0.0:
+                break
+            if (fa < 0.0) != (fm < 0.0):
+                b = m
+            else:
+                a, fa = m, fm
+        return evals
+
+    @pytest.mark.parametrize("case", sorted(STALLING))
+    def test_worst_case_within_bisection_plus_n0(self, case):
+        # after j steps the bracket is no wider than bisection's after
+        # j - n0; the end game starts from a width that need not be a power
+        # of two in ulps, which can cost one halving more than bisection
+        f, a, b = STALLING[case]
+        budget = self.bisection_evals(f, a, b) + self.N0 + 1
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            if len(calls) > budget:  # a stalling routine fails here
+                raise AssertionError(f"{case}: more than {budget} evaluations")
+            return f(x)
+
+        root, residual, evals = eigensolver._itp(counted, a, b, f(a), f(b))
+        assert evals == len(calls) <= budget
+        # the sign change lies between the double below ROOT and ROOT
+        assert math.nextafter(ROOT, -math.inf) <= root <= ROOT
+        assert residual == abs(f(root))
+
+
+class TestEvaluationBudget:
+    # the maxima at these 41 c: 80 evaluations per solve (65 of them the
+    # scan) and 19 of W_2 per mode, ends included; bisection took 71-113 and
+    # 55-85 here.  ROADMAP's targets once the scan is deleted: 32 and 16
+    SOLVE_BUDGET = 80
+    MODE_BUDGET = 19
+    CS = [C_MIN * (C_MAX / C_MIN) ** (i / 40) for i in range(41)]
+
+    def test_solve(self):
+        worst = max((dominant_eigenvalue(ModelParams(mu=1.0, A=c)).iterations, c) for c in self.CS)
+        assert worst[0] <= self.SOLVE_BUDGET, worst
+
+    def test_mode(self, monkeypatch):
+        calls = []
+
+        def counted(idx, z):
+            calls.append(z)
+            return whittaker_w_scaled(idx, z)
+
+        monkeypatch.setattr(qsd_module, "whittaker_w_scaled", counted)
+        worst = (0, None)
+        for c in self.CS:
+            sol = build_solution(ModelParams(mu=1.0, A=c))
+            calls.clear()
+            mode(sol)
+            worst = max(worst, (len(calls), c))
+        assert worst[0] <= self.MODE_BUDGET, worst
+
+
+class TestPinnedRoots:
+    # lam(1, c) as bisection found it before ITP replaced it, at the golden
+    # rows and at C_MAX.  Rounding noise gives the equation several sign
+    # changes within a few ulps of s, so ITP may land on another of them,
+    # but within 2 eps c/8 of the pinned root
+    PINNED = {
+        20.0: "-0x1.e2264a2ffa670p-5",
+        30.0: "-0x1.358c1b1d7efc0p-5",
+        40.0: "-0x1.c648d3e4e52d0p-6",
+        50.0: "-0x1.662e334785150p-6",
+        100.0: "-0x1.5a21c19138048p-7",
+        500.0: "-0x1.0a7a640435ec0p-9",
+        1000.0: "-0x1.08a38d6e51200p-10",
+        10000.0: "-0x1.a403bb21fc400p-14",
+        C_MAX: "-0x1.12e0c04000000p-30",
+    }
+
+    def test_covers_golden_rows(self):
+        assert set(self.PINNED) == {float(A) for A in REFERENCE_TABLE} | {C_MAX}
+
+    @pytest.mark.parametrize("c", sorted(PINNED))
+    def test_within_two_eps_c_over_8(self, c):
+        ref = float.fromhex(self.PINNED[c])
+        lam = dominant_eigenvalue(ModelParams(mu=1.0, A=c)).lam
+        assert abs(lam - ref) <= 2.0 * sys.float_info.epsilon * c / 8.0 * abs(ref)
 
 
 class TestSharedTerms:
