@@ -45,6 +45,7 @@ from qsd_sr.specfun import (
     _NEG_REACH,
     _RB_MAX,
     _X_FIXED,
+    _Z_BESSEL,
     _Z_MAX,
     _Z_MIN,
     _g_laguerre,
@@ -368,6 +369,90 @@ class TestWhittakerW:
         assert bisect_right(_NEG_REACH, -x) == n == 127
         t = (n + 1) * _H
         assert x * (math.cosh(t) - 1.0) - _RB_MAX * t > _CUT
+
+
+class TestBesselBranch:
+    """W_0 and W_1 of a real index |b| <= 1/2 at z <= _Z_BESSEL come from
+    Temme's series for K_b; the trapezoid sum serves every other case."""
+
+    # the scaled W_{a,b}(z) by mpmath's whitw at 40 digits, rounded once;
+    # z runs from 2/C_MAX through _Z_BESSEL to three points past it
+    Z = (2e-9, 4e-9, 1e-6, 1e-3, 0.05, 0.5, 1.0, 1.25, 1.5, 4.0, 20.0)
+    REF = {
+        (0, 0.0): (0.0005258005662573371, 0.0007188610805811011, 0.008251045046396333,
+                   0.13774676184041315, 0.4922505404340569, 0.7896399592356571,
+                   0.8598866396410086, 0.8789504386598066, 0.893173546633117,
+                   0.9496080415756143, 0.9881392704386491),
+        (0, 1e-4): (0.000525800951048428, 0.0007188615726162201, 0.00825104805320159,
+                    0.13774677657307008, 0.49225055584307886, 0.7896399668776631,
+                    0.8598866448994686, 0.8789504432418801, 0.8931735507025595,
+                    0.9496080435442018, 0.9881392709103324),
+        (0, 0.25): (0.009672428120664944, 0.011502376313589587, 0.04570857532490172,
+                    0.25183961678694033, 0.5954114329693755, 0.838561081209756,
+                    0.8932779551393673, 0.9079847774308231, 0.9189189059232418,
+                    0.9619844936887868, 0.9910915692305834),
+        (0, 0.49): (0.823427769942987, 0.8291551626299932, 0.876223987149354,
+                    0.938816799189077, 0.9745660554565747, 0.9908967717585181,
+                    0.9941107288169118, 0.994951619009853, 0.9955706985777488,
+                    0.9979590772945066, 0.9995276948474066),
+        (0, 0.5 - 1e-8): (0.999999805470989, 0.999999812402459, 0.9999998676169177,
+                          0.9999999366212616, 0.9999999740556971, 0.9999999907708939,
+                          0.9999999940365265, 0.9999999948896712, 0.9999999955174333,
+                          0.9999999979365435, 0.9999999995228146),
+        (0, 0.5): (1.0,) * 11,
+        (1, 0.0): (-118834.47867871753, -80937.014114602, -3561.328532034092,
+                   -50.954361860630904, -2.0928547060670106, 0.5648908472456582,
+                   0.7704036149704434, 0.813864382618923, 0.8433959708048958,
+                   0.939179887544787, 0.9875754000728206),
+        (1, 1e-4): (-118834.54737956586, -80937.05744285195, -3561.3294274541045,
+                    -50.954363757939205, -2.0928546440686677, 0.564890862231328,
+                    0.7704036233747857, 0.8138643895312597, 0.8433959766803172,
+                    0.9391798899114907, 0.9875754005668005),
+        (1, 0.25): (-1208980.407051153, -718837.0416328489, -11411.66152554058,
+                    -60.08353064879509, -1.6245264451267896, 0.6621298307976654,
+                    0.8241067525359993, 0.8578747356126876, 0.8807089018566366,
+                    0.9540737963928168, 0.9906674540590541),
+        (1, 0.49): (-4117137.830483479, -2072886.8886762592, -8761.23084746329,
+                    -8.385917242490923, 0.8056036906034563, 0.9803087020573039,
+                    0.9901334144653098, 0.9921025705640351, 0.9934163094954399,
+                    0.9975276760009325, 0.9995051186849315),
+        (1, 0.5 - 1e-8): (-3.9999990247231465, -1.4999995296902402, 0.9900000013291034,
+                          0.9999900000006413, 0.9999998000000058, 0.9999999800000003,
+                          0.9999999900000002, 0.9999999920000001, 0.9999999933333334,
+                          0.9999999975, 0.9999999995),
+        (1, 0.5): (1.0,) * 11,
+    }
+
+    @staticmethod
+    def bound(a, b, z):
+        terms = [w * math.cosh(b * t) for t, w in zip(*_w_terms(a, z))]
+        return 8.0 * sys.float_info.epsilon * sum(map(abs, terms))
+
+    def test_literals_cover_the_hand_off(self):
+        assert self.Z[0] == _Z_MIN and _Z_BESSEL in self.Z and self.Z[-1] > _Z_BESSEL
+
+    @pytest.mark.parametrize("a, b", REF, ids=str)
+    def test_against_literals(self, a, b):
+        idx = WhittakerIndex(a, b)
+        for z, ref in zip(self.Z, self.REF[a, b]):
+            assert abs(whittaker_w_scaled(idx, z) - ref) <= self.bound(a, b, z), z
+
+    @pytest.mark.parametrize("b, z", [(0.5 - 1e-8, 4e-9), (0.5, 2e-9)])
+    def test_w1_next_to_half_is_relative(self, b, z):
+        # the trapezoid's terms exceed W_1 by ~1e8 here; the series'
+        # (x - (1/2 - b)) K_b + x K_{1-b} has no such cancellation
+        ref = self.REF[1, b][self.Z.index(z)]
+        assert abs(whittaker_w_scaled(WhittakerIndex(1, b), z) - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("a", [0, 1])
+    @pytest.mark.parametrize("b", [0.0, 1e-4, 0.2, -0.25, 0.3, 0.45, 0.5 - 1e-8, 0.5])
+    def test_continuity_at_hand_off(self, a, b):
+        # the largest double at or below _Z_BESSEL takes the series, the
+        # next one up the trapezoid sum
+        idx = WhittakerIndex(a, b)
+        below = _Z_BESSEL
+        above = math.nextafter(below, math.inf)
+        assert abs(whittaker_w_scaled(idx, below) - whittaker_w_scaled(idx, above)) <= self.bound(a, b, above)
 
 
 class TestIndexReuse:
