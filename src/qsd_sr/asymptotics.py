@@ -109,63 +109,67 @@ def lambda_order1(params: ModelParams) -> float:
 
 def lambda_order2(params: ModelParams) -> float:
     """Second-order approximation: the root closest to zero of the quadratic
-    truncation, -2 mu^2 / (c (1 + sqrt(disc))) with c = mu^2 A: the
-    textbook form -mu^2 (1 - sqrt(disc)) / (4 L) rationalized, which loses
-    no digits to 1 - sqrt(disc) as c grows.  Raises
+    truncation, solved in c = mu^2 A alone for Lambda = lam/mu^2 as
+    -2 / (c (1 + sqrt(disc))): the textbook form -(1 - sqrt(disc)) / (4 L)
+    rationalized, which loses no digits to 1 - sqrt(disc) as c grows.  Like
+    the exact solver, lam = mu^2 Lambda is scaled once at the end, so
+    lam(mu, A) = mu^2 lam(1, c) bit for bit.  Raises
     :class:`ThresholdTooSmallError` when the discriminant
     disc = 1 - (8/c) L(2/c) is negative (no real solutions)."""
-    mu2, A = params.mu2, params.A
-    c = mu2 * A
+    c = params.mu2 * params.A
     ell, _ = _expansion_coefficients(2.0 / c)
     disc = 1.0 - 8.0 / c * ell
     if disc < 0.0:
         raise ThresholdTooSmallError(
             f"quadratic eigenvalue correction has no real roots at mu={params.mu}, "
-            f"A={A} (discriminant {disc:.6g})"
+            f"A={params.A} (discriminant {disc:.6g})"
         )
-    return -2.0 * mu2 / (c * (1.0 + math.sqrt(disc)))
+    return params.mu2 * (-2.0 / (c * (1.0 + math.sqrt(disc))))
 
 
 def lambda_order3(params: ModelParams) -> float:
     """Third-order approximation: the unique real root of the cubic
-    truncation, found in closed form and polished with one Newton step.
+    truncation, 4 (G - 2L) Lambda^3 + 2 L Lambda^2 + Lambda + 1/c at
+    u = 2/c in Lambda = lam/mu^2, found in closed form and polished with one
+    Newton step.  Like :func:`lambda_order2`, it is solved in c = mu^2 A
+    alone and scaled by mu^2 once at the end.
 
     Raises :class:`ThresholdTooSmallError` when the cubic has three real
     roots (the truncation is then ambiguous) or degenerates.  Note the
     leading coefficient is positive for large A; uniqueness of the real root
     is decided by the discriminant, not the coefficient sign.
     """
-    mu2, A = params.mu2, params.A
-    ell, cubic = _expansion_coefficients(2.0 / (mu2 * A))
-    c3, c2, c1, c0 = (2.0 / mu2) ** 2 * cubic, 2.0 / mu2 * ell, 1.0, 1.0 / A
+    c = params.mu2 * params.A
+    ell, cubic = _expansion_coefficients(2.0 / c)
+    c3, c2, c0 = 4.0 * cubic, 2.0 * ell, 1.0 / c
     if c3 == 0.0:
         raise ThresholdTooSmallError(
             f"cubic eigenvalue correction degenerates at mu={params.mu}, A={params.A}"
         )
-    # depressed form t^3 + p t + q, lam = t - c2/(3 c3)
+    # depressed form t^3 + p t + q, Lambda = t - c2/(3 c3)
     shift = c2 / (3.0 * c3)
-    p = (3.0 * c3 * c1 - c2 * c2) / (3.0 * c3 * c3)
-    q = (2.0 * c2**3 - 9.0 * c3 * c2 * c1 + 27.0 * c3 * c3 * c0) / (27.0 * c3**3)
+    p = (3.0 * c3 - c2 * c2) / (3.0 * c3 * c3)
+    q = (2.0 * c2**3 - 9.0 * c3 * c2 + 27.0 * c3 * c3 * c0) / (27.0 * c3**3)
     disc = (q * q) / 4.0 + (p**3) / 27.0
     if disc <= 0.0:
         # three real roots (counting multiplicity): no single real solution
         raise ThresholdTooSmallError(
             f"cubic eigenvalue correction has three real roots at mu={params.mu}, "
-            f"A={params.A} (discriminant {disc:.6g}, coefficients "
-            f"{c3:.6g}, {c2:.6g}, {c1:.6g}, {c0:.6g})"
+            f"A={params.A} (discriminant {disc:.6g}, coefficients of lam/mu^2 "
+            f"{c3:.6g}, {c2:.6g}, 1, {c0:.6g})"
         )
     s = math.sqrt(disc)
     # pick the larger-magnitude cube root to avoid cancellation
     u1 = -0.5 * q + s if q <= 0.0 else -0.5 * q - s
     t1 = math.copysign(abs(u1) ** (1.0 / 3.0), u1)
     t = t1 - p / (3.0 * t1)
-    lam = t - shift
+    root = t - shift
     # one Newton polish on the cubic
-    f = ((c3 * lam + c2) * lam + c1) * lam + c0
-    df = (3.0 * c3 * lam + 2.0 * c2) * lam + c1
+    f = ((c3 * root + c2) * root + 1.0) * root + c0
+    df = (3.0 * c3 * root + 2.0 * c2) * root + 1.0
     if df != 0.0:
-        lam -= f / df
-    return lam
+        root -= f / df
+    return params.mu2 * root
 
 
 def whittaker_expansion3(x: float, lam: float, params: ModelParams) -> float:

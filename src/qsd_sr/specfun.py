@@ -290,21 +290,19 @@ def whittaker_w_scaled(idx: WhittakerIndex, z: float) -> float:
     x, h, n, ts, v = _grid(z)
     rows = idx._rows if x <= _X_FIXED else _moment_rows(a, b, ts, v)
     f = math.sqrt(z) * h / _SQRT_PI
-    # p_a(s_k) = c0 - c1 x v_k + c2 (x v_k)^2 at s_k = z - x v_k, so with
-    # E_k = exp(x v_k) and S_j = sum_k rows[j][k] E_k the sum is
-    # c0 (1/2 + S_0) - c1 x S_1 + c2 x^2 S_2; the node t = 0 has half
-    # weight.  (c0, c1, c2) is (1, 0, 0) for a = 0 and (z - 1/2, 1, 0) for
-    # a = 1.
+    # p_a(s_k) = c0 - c1 x v_k + c2 (x v_k)^2 at s_k = z - x v_k, with
+    # (c0, c1, c2) from _taylor, so with E_k = exp(x v_k) and
+    # S_j = sum_k rows[j][k] E_k the sum is c0 (1/2 + S_0) - c1 x S_1
+    # + c2 x^2 S_2, without S_2 for a = 1; the node t = 0 has half weight.
     e = map(math.exp, map(mul, repeat(x, n), v))
     if not a:
         return f * (0.5 + sum(map(mul, rows[0], e)))
     e = list(e)
-    s0 = 0.5 + sum(map(mul, rows[0], e))
-    s1 = x * sum(map(mul, rows[1], e))
-    if a == 1:
-        return f / z * ((z - 0.5) * s0 - s1)
-    c0, c1, c2 = _taylor(2, z)
-    return f / (z * z) * (c0 * s0 - c1 * s1 + c2 * x * x * sum(map(mul, rows[2], e)))
+    c0, c1, c2 = _taylor(a, z)
+    acc = c0 * (0.5 + sum(map(mul, rows[0], e))) - c1 * (x * sum(map(mul, rows[1], e)))
+    if a == 2:
+        acc += c2 * x * x * sum(map(mul, rows[2], e))
+    return f / (z if a == 1 else z * z) * acc
 
 
 def _moment_rows(a: int, b: complex, ts, v) -> list:
@@ -391,10 +389,12 @@ def _w_bessel(a: int, consts: tuple, z: float) -> float:
     assembled as (x - (1/2 - |b|)) K_b + x K_{1-|b|}, with
     2 p_k = 2 p_0 / prod_j (j - nu) and 2 p_0 = exp(sigma) Gamma(1 + nu):
     nothing cancels as b -> 1/2, where the trapezoid's terms exceed W_1 by
-    up to 1e8.  The sums stop once a term of K_b is below eps of the sum (k
-    times that for W_1).  Against mpmath over b in [0, 1/2] and z in
-    [2/C_MAX, _Z_BESSEL] (825 points) the result is within 4.0 eps of the
-    trapezoid's sum of |terms|, as the trapezoid sum itself is."""
+    up to 1e8.  One loop runs the recurrence for both a, with W_1's extra
+    sums under ``if a``; each a has its own stop rule: a term of K_b below
+    eps of the sum for W_0, k times that for W_1.  Against mpmath over b in
+    [0, 1/2] and z in [2/C_MAX, _Z_BESSEL] (825 points) the result is within
+    4.0 eps of the trapezoid's sum of |terms|, as the trapezoid sum itself
+    is."""
     nu, nu2, g1, g2, g, d = consts
     ell = -math.log(0.25 * z)
     sigma = nu * ell
@@ -410,29 +410,21 @@ def _w_bessel(a: int, consts: tuple, z: float) -> float:
     s = g2 * ch + nu2 * sh * g1
     y = 0.0625 * z * z
     c, k, w = 1.0, 0, f
-    if not a:
-        while True:
-            k += 1
-            c *= y / k
-            dk = 1.0 / (k * k - nu2)
-            f, s = (k * f + s) * dk, (k * s + nu2 * f) * dk
-            t = c * f
-            w += t
-            if t < _EPS * w:
-                return math.exp(0.5 * z) * math.sqrt(z / math.pi) * w
-    q = g * e if g else s
-    u = q
+    q = u = g * e if g else s
     while True:
         k += 1
         c *= y / k
         dk = 1.0 / (k * k - nu2)
         f, s = (k * f + s) * dk, (k * s + nu2 * f) * dk
-        q = q / (k - nu) if g else s
         t = c * f
         w += t
-        u += c * q - 2 * k * t
-        if k * t < _EPS * w:
-            return math.exp(0.5 * z) / math.sqrt(math.pi * z) * ((0.5 * z - d) * w + u)
+        if a:
+            q = q / (k - nu) if g else s
+            u += c * q - 2 * k * t
+            if k * t < _EPS * w:
+                return math.exp(0.5 * z) / math.sqrt(math.pi * z) * ((0.5 * z - d) * w + u)
+        elif t < _EPS * w:
+            return math.exp(0.5 * z) * math.sqrt(z / math.pi) * w
 
 
 def _w_terms(a: int, z: float) -> tuple:

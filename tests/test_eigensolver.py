@@ -10,6 +10,7 @@ from qsd_sr import (
     BracketError,
     DomainError,
     ModelParams,
+    ThresholdTooSmallError,
     WhittakerIndex,
     boundary_flux_identity,
     build_approx,
@@ -17,6 +18,8 @@ from qsd_sr import (
     cdf,
     dominant_eigenvalue,
     eigen_bracket,
+    lambda_order2,
+    lambda_order3,
     mode,
     pdf,
     sturm_liouville_eigen,
@@ -93,13 +96,23 @@ class TestScaling:
         # lam(mu, A) = mu^2 lam(1, mu^2 A) holds bit for bit when the solve
         # sees the same double c = mu^2 A, and so do the law's index b and
         # denominator D, formed from the solver's root s at c (lam / mu^2
-        # need not round back to lam(1, c))
+        # need not round back to lam(1, c)); the order-2 and order-3
+        # approximations are solved in c too, or raise at both
         p = ModelParams(mu=mu, A=c / mu**2)
-        sol, ref = build_solution(p), build_solution(ModelParams(mu=1.0, A=p.mu2 * p.A))
+        one = ModelParams(mu=1.0, A=p.mu2 * p.A)
+        sol, ref = build_solution(p), build_solution(one)
         assert sol.se.lam == p.mu2 * ref.se.lam
         assert sol.se.iterations == ref.se.iterations
         assert sol.w1.b == ref.w1.b
         assert sol.denom == ref.denom
+        for approx in (lambda_order2, lambda_order3):
+            try:
+                lam = approx(p)
+            except ThresholdTooSmallError:
+                with pytest.raises(ThresholdTooSmallError):
+                    approx(one)
+            else:
+                assert lam == p.mu2 * approx(one)
 
     # lam(1, c) to 20 digits in 50-digit arithmetic (mpmath)
     LARGE_C = {
