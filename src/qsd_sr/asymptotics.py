@@ -1,22 +1,22 @@
 """Large-threshold asymptotics.
 
-For small |lam| the Whittaker numerator of the exact density admits the
-third-order expansion (u = 2/(mu^2 x))
+For small |lam| the Whittaker numerator of the exact density is, with
+u = 2/(mu^2 x) and Lambda = lam/mu^2, one polynomial in Lambda at u:
 
-    W_{1, xi(lam)/2}(u) = (2/mu^2) e^{-u/2} { 1/x + lam
-                          + (2/mu^2) L(u) lam^2
-                          + (2/mu^2)^2 [G(u) - 2 L(u)] lam^3 } + O(lam^4),
+    W_{1, xi(lam)/2}(u) = 2 e^{-u/2} P(Lambda; u) + O(Lambda^4),
+    P(Lambda; u) = u/2 + Lambda + 2 L(u) Lambda^2 + 4 [G(u) - 2 L(u)] Lambda^3,
 
 where G is the Laplace-log integral and L the correction kernel from
-:mod:`qsd_sr.specfun`.  Truncating the eigenvalue equation at orders 1, 2, 3
-yields the approximations
+:mod:`qsd_sr.specfun`.  The order-k truncation P_k is its first k + 1 terms
+(:func:`_truncation`), and every order-k approximation reads it.  At x = A,
+u = 2/c with c = mu^2 A, and mu^2 times a root of P_k in Lambda gives
 
-    lam*   = -1/A,
-    lam**  = the near-zero root of  (2/mu^2) L lam^2 + lam + 1/A = 0,
-    lam*** = the unique real root of the cubic with the lam^3 term included,
+    lam*   = -1/A                     (the root of P_1),
+    lam**  = the root of P_2 closest to zero,
+    lam*** = the unique real root of P_3,
 
-and substituting each truncation back into the density formula yields the
-order-1/2/3 density approximations.  The expansion coefficients come from the
+and the order-k density is u e^{-u} mu^2 P_k(lam_k/mu^2; u) / D, D being the
+exact law's normalization at lam_k.  The coefficients come from the
 index-derivative identities at b = 1/2:
 
     d W_{1,b}/db     = e^{-x/2},
@@ -61,45 +61,47 @@ class ApproxSolution(namedtuple("ApproxSolution", "order lambda_approx params de
 
 
 def approx_pdfs(sols, x: float) -> list:
-    """The order-k densities (2/(mu^2 x)) e^{-2/(mu^2 x)} {1/x + lam + ...} / D
-    at x of ``sols``, approximate solutions of one model, with the expansion
-    kernels evaluated once, and only when some order is 2 or 3.  Each is 0
-    outside (0, A), and exactly 0 at A, where the order-k bracket vanishes
-    by construction of lam_k; clamped at 0, which rounding undershoots.
-    Raises :class:`DomainError` for x = nan."""
+    """The order-k densities u e^{-u} mu^2 P_k(lam/mu^2; u) / D, u = 2/(mu^2 x),
+    at x of ``sols``, approximate solutions of one model, from one
+    :func:`_truncation` at their highest order.  Each is 0 outside (0, A),
+    and exactly 0 at A, where P_k vanishes by construction of lam_k; clamped
+    at 0, which rounding undershoots.  Raises :class:`DomainError` for
+    x = nan."""
     if not (sols and 0.0 < x < sols[0].params.A):
         if x != x:
             raise DomainError("position x must not be nan")
         return [0.0] * len(sols)
     mu2 = sols[0].params.mu2
     u = 2.0 / (mu2 * x)
-    pre = u * math.exp(-u) if u < 745.0 else 0.0
-    kernels = None
+    pre = mu2 * u * math.exp(-u) if u < 745.0 else 0.0
+    # the highest order: ApproxSolutions compare by order first; one alone skips max()
+    coef = _truncation(u, sols[0].order if len(sols) == 1 else max(sols).order)
     out = []
     for order, lam, _, denom in sols:
-        if order >= 2 and kernels is None:
-            kernels = _expansion_coefficients(u)
-        out.append(max(0.0, pre * _bracket(order, x, lam, mu2, kernels) / denom))
+        q = pre * _horner(coef, order, lam / mu2) / denom
+        out.append(q if q > 0.0 else 0.0)
     return out
 
 
-def _expansion_coefficients(u: float):
-    """The kernels of the lam^2 and lam^3 terms, (L(u), G(u) - 2 L(u)), from
-    one evaluation of G."""
+def _truncation(u: float, order: int) -> tuple:
+    """The coefficients (u/2, 1, 2 L(u), 4 (G(u) - 2 L(u))) of P(Lambda; u),
+    cut after Lambda^order; G and L come from one evaluation of G, made
+    only for order 2 or 3.  One tuple per order: a slice costs more."""
+    if order < 2:
+        return 0.5 * u, 1.0
     gee, ell = _g_and_l(u)
-    return ell, gee - 2.0 * ell
+    if order == 2:
+        return 0.5 * u, 1.0, 2.0 * ell
+    return 0.5 * u, 1.0, 2.0 * ell, 4.0 * (gee - 2.0 * ell)
 
 
-def _bracket(order: int, x: float, lam: float, mu2: float, kernels) -> float:
-    """{1/x + lam + (2/mu^2) L lam^2 + (2/mu^2)^2 [G - 2L] lam^3} truncated
-    after the lam^order term, ``kernels`` being (L, G - 2L) at u = 2/(mu^2 x)."""
-    bracket = 1.0 / x + lam
-    if order >= 2:
-        ell, cubic = kernels
-        bracket += 2.0 / mu2 * ell * lam * lam
-        if order >= 3:
-            bracket += (2.0 / mu2) ** 2 * cubic * lam**3
-    return bracket
+def _horner(coef, order: int, t: float) -> float:
+    """P_order at Lambda = t, by Horner's rule, from a truncation of order >= it."""
+    p = coef[order]
+    while order:
+        order -= 1
+        p = p * t + coef[order]
+    return p
 
 
 def lambda_order1(params: ModelParams) -> float:
@@ -108,17 +110,17 @@ def lambda_order1(params: ModelParams) -> float:
 
 
 def lambda_order2(params: ModelParams) -> float:
-    """Second-order approximation: the root closest to zero of the quadratic
-    truncation, solved in c = mu^2 A alone for Lambda = lam/mu^2 as
-    -2 / (c (1 + sqrt(disc))): the textbook form -(1 - sqrt(disc)) / (4 L)
+    """Second-order approximation: mu^2 times the root closest to zero of
+    P_2 = c0 + Lambda + c2 Lambda^2 at u = 2/c, c = mu^2 A, computed as
+    -2 / (c (1 + sqrt(disc))): the textbook form -(1 - sqrt(disc)) / (2 c2)
     rationalized, which loses no digits to 1 - sqrt(disc) as c grows.  Like
-    the exact solver, lam = mu^2 Lambda is scaled once at the end, so
-    lam(mu, A) = mu^2 lam(1, c) bit for bit.  Raises
+    the exact solver, it is solved in c alone and scaled by mu^2 once at the
+    end, so lam(mu, A) = mu^2 lam(1, c) bit for bit.  Raises
     :class:`ThresholdTooSmallError` when the discriminant
-    disc = 1 - (8/c) L(2/c) is negative (no real solutions)."""
+    disc = 1 - 4 c0 c2 = 1 - (8/c) L(2/c) is negative (no real roots)."""
     c = params.mu2 * params.A
-    ell, _ = _expansion_coefficients(2.0 / c)
-    disc = 1.0 - 8.0 / c * ell
+    c0, _, c2 = _truncation(2.0 / c, 2)
+    disc = 1.0 - 4.0 * c0 * c2
     if disc < 0.0:
         raise ThresholdTooSmallError(
             f"quadratic eigenvalue correction has no real roots at mu={params.mu}, "
@@ -128,11 +130,10 @@ def lambda_order2(params: ModelParams) -> float:
 
 
 def lambda_order3(params: ModelParams) -> float:
-    """Third-order approximation: the unique real root of the cubic
-    truncation, 4 (G - 2L) Lambda^3 + 2 L Lambda^2 + Lambda + 1/c at
-    u = 2/c in Lambda = lam/mu^2, found in closed form and polished with one
-    Newton step.  Like :func:`lambda_order2`, it is solved in c = mu^2 A
-    alone and scaled by mu^2 once at the end.
+    """Third-order approximation: mu^2 times the unique real root of
+    P_3 = c0 + Lambda + c2 Lambda^2 + c3 Lambda^3 at u = 2/c, found in closed
+    form and polished with one Newton step.  Like :func:`lambda_order2`, it
+    is solved in c = mu^2 A alone and scaled by mu^2 once at the end.
 
     Raises :class:`ThresholdTooSmallError` when the cubic has three real
     roots (the truncation is then ambiguous) or degenerates.  Note the
@@ -140,8 +141,7 @@ def lambda_order3(params: ModelParams) -> float:
     is decided by the discriminant, not the coefficient sign.
     """
     c = params.mu2 * params.A
-    ell, cubic = _expansion_coefficients(2.0 / c)
-    c3, c2, c0 = 4.0 * cubic, 2.0 * ell, 1.0 / c
+    c0, _, c2, c3 = _truncation(2.0 / c, 3)
     if c3 == 0.0:
         raise ThresholdTooSmallError(
             f"cubic eigenvalue correction degenerates at mu={params.mu}, A={params.A}"
@@ -173,12 +173,11 @@ def lambda_order3(params: ModelParams) -> float:
 
 
 def whittaker_expansion3(x: float, lam: float, params: ModelParams) -> float:
-    """Third-order truncation of W_{1, xi(lam)/2}(2/(mu^2 x)) around lam = 0."""
+    """Third-order truncation 2 e^{-u/2} P_3 of W_{1, xi(lam)/2}(2/(mu^2 x))."""
     if not (0.0 < x < math.inf):
         raise DomainError(f"x must be finite and positive, got {x}")
-    mu2 = params.mu2
-    kernels = _expansion_coefficients(2.0 / (mu2 * x))
-    return 2.0 / mu2 * math.exp(-1.0 / (mu2 * x)) * _bracket(3, x, lam, mu2, kernels)
+    u = 2.0 / (params.mu2 * x)
+    return 2.0 * math.exp(-0.5 * u) * _horner(_truncation(u, 3), 3, lam / params.mu2)
 
 
 def _index_derivative_scaled(k: int, x: float) -> float:

@@ -205,7 +205,7 @@ def _check(name, group, residual, tolerance, detail=""):
 
 
 def _exact():
-    names = ("eigenvalue", "lambda_order1", "lambda_order2", "lambda_order3")
+    names = ("eigenvalue", *(f"lambda_order{k}" for k in asymptotics.LAMBDA_BY_ORDER))
     for a in REFERENCE_TABLE:
         p = ModelParams(mu=1.0, A=float(a))
         golden = golden_comparison(p, neg_lambda_row(p))

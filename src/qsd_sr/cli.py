@@ -18,7 +18,7 @@ tolerances, Monte-Carlo seed, paths, step and horizon): it can skip a suite
 but not change what a check means.
 
 Exit codes: 0 success, 1 computational failure, 2 validation mismatch,
-64 usage error.
+64 usage error (an unwritable --out path too, found before any computing).
 """
 
 from __future__ import annotations
@@ -49,16 +49,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(text, out_path):
-    """Write an artifact to ``out_path``, or to stdout when it is not set."""
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_table(columns, rows, fmt, out_path, warnings=()):
+def _write_table(columns, rows, fmt, out, warnings=()):
     if fmt == "json":
         import json
         doc = {"columns": list(columns), "rows": [[float(v) for v in r] for r in rows]}
@@ -69,7 +60,7 @@ def _write_table(columns, rows, fmt, out_path, warnings=()):
         lines = [",".join(columns)]
         lines += [",".join(_fmt(v) for v in r) for r in rows]
         text = "\n".join(lines) + "\n"
-    _emit(text, out_path)
+    out.write(text)
 
 
 def cmd_table(args) -> int:
@@ -81,8 +72,7 @@ def cmd_table(args) -> int:
         golden = golden_comparison(p, row)
         if golden and golden[0][1] > GOLDEN_TOL[0]:
             mismatches.append((p.A, row[0], golden[0][0]))
-    columns = ["A", "neg_lambda", "neg_lambda_order1", "neg_lambda_order2",
-               "neg_lambda_order3"]
+    columns = ["A", "neg_lambda", *(f"neg_lambda_order{k}" for k in asymptotics.LAMBDA_BY_ORDER)]
     if args.format == "json":
         import json
         doc = {"columns": columns,
@@ -94,7 +84,7 @@ def cmd_table(args) -> int:
         for r in rows:
             lines.append(",".join([f"{r[0]:g}"] + [f"{v:.12f}" for v in r[1:]]))
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    args.out.write(text)
     for a, got, ref in mismatches:
         print(f"mismatch at A={a:g}: computed {got:.12f}, reference {ref:.12f}", file=sys.stderr)
     return EXIT_MISMATCH if mismatches else EXIT_OK
@@ -115,7 +105,7 @@ def cmd_law(args) -> int:
 def cmd_approx(args) -> int:
     params = args.params[0]
     sol = qsd.build_solution(params)
-    orders = (args.order,) if args.order else (1, 2, 3)
+    orders = (args.order,) if args.order else asymptotics.LAMBDA_BY_ORDER
     approx = []
     warnings = []
     for k in orders:
@@ -150,7 +140,7 @@ def cmd_validate(args) -> int:
     config = {"tol": GOLDEN_TOL[0], "paths": MC_PATHS, "dt": MC_DT, "horizon": MC_HORIZON,
               "seed": MC_SEED}
     report = {"config": {**config, "skip": sorted(skip)}, "checks": checks, "n_failed": len(failed)}
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    args.out.write(json.dumps(report, indent=2) + "\n")
     for c in failed:
         print(f"FAIL {c['name']}: residual {c['residual']:.3e} > tol {c['tolerance']:.3e}",
               file=sys.stderr)
@@ -185,7 +175,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--xmin", type=float, default=None)
         sp.add_argument("--xmax", type=float, default=None)
         if name == "approx":
-            sp.add_argument("--order", type=int, choices=(1, 2, 3), default=None,
+            sp.add_argument("--order", type=int, choices=tuple(asymptotics.LAMBDA_BY_ORDER),
                             help="single approximation order (default: all three)")
         sp.set_defaults(fn=fn, default_A=(20.0,))
 
@@ -217,11 +207,18 @@ def main(argv=None) -> int:
         if not (args.grid >= 2 and -math.inf < xmin < xmax < math.inf):
             ap.error(f"bad grid specification [{xmin}, {xmax}] with {args.grid} points")
         args.xs = [xmin + (xmax - xmin) * i / (args.grid - 1) for i in range(args.grid)]
+    try:  # opened before any computation, so a bad path costs none
+        args.out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        ap.error(f"cannot write --out {args.out}: {exc.strerror}")
     try:
         return args.fn(args)
     except QsdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    finally:
+        if args.out is not sys.stdout:
+            args.out.close()
 
 
 if __name__ == "__main__":

@@ -85,7 +85,8 @@ def _index_b(lam: float, mu2: float) -> complex:
 
 
 def eigen_bracket(params: ModelParams) -> EigenBracket:
-    """Analytic bracket for the dominant eigenvalue."""
+    """Analytic bracket for the dominant eigenvalue; DomainError outside the solver's domain."""
+    _check_domain(params)
     mu2 = params.mu2
     lo, hi = _s_bracket(mu2 * params.A)
     return EigenBracket(lo=_lam(lo, mu2), hi=_lam(hi, mu2))

@@ -76,8 +76,8 @@ C_MAX = 1e9
 
 class ModelParams(namedtuple("ModelParams", "mu A")):
     """Model parameters: post-change drift ``mu`` (nonzero) and detection
-    threshold ``A`` (positive).  Every formula in the package depends on the
-    drift only through ``mu**2``."""
+    threshold ``A`` (positive), with ``mu**2 A`` a positive finite double.
+    Every formula in the package depends on the drift only through ``mu**2``."""
 
     __slots__ = ()
 
@@ -86,6 +86,8 @@ class ModelParams(namedtuple("ModelParams", "mu A")):
             raise DomainError(f"drift mu must be finite and nonzero, got {mu}")
         if not (A > 0.0 and math.isfinite(A)):
             raise DomainError(f"threshold A must be finite and positive, got {A}")
+        if not (0.0 < mu * mu * A < math.inf):  # then so is mu^2
+            raise DomainError(f"mu^2 A = {mu * mu * A!r} must be positive and finite")
         return super().__new__(cls, mu, A)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too

@@ -104,8 +104,14 @@ class TestExpansion:
         assert 8.0 <= ratio <= 32.0
 
     def test_root_of_truncation(self):
-        # lam*** zeroes the truncated numerator at x = A by construction
+        # lam** and lam*** zero their truncated numerators at x = A by
+        # construction; P_k(0; u) = u/2 is the scale
         p = ModelParams(mu=1.0, A=20.0)
+        u = 2.0 / (p.mu2 * p.A)
+        for order, lam in ((2, lambda_order2(p)), (3, lambda_order3(p))):
+            coef = asymptotics._truncation(u, order)
+            resid = asymptotics._horner(coef, order, lam / p.mu2)
+            assert abs(resid) < 1e-9 * coef[0], order
         lam3 = lambda_order3(p)
         resid = whittaker_expansion3(20.0, lam3, p)
         scale = whittaker_expansion3(20.0, 0.0, p)
@@ -272,6 +278,19 @@ class TestPdfApprox:
         for x in xs:
             assert approx_pdfs(sols, x) == [s.pdf(x) for s in sols], x
         assert approx_pdfs([], 1.0) == []
+
+    def test_order1_density_evaluates_no_kernel(self, monkeypatch):
+        # P_1 = u/2 + Lambda needs neither G nor L
+        ap = build_approx(ModelParams(mu=1.3, A=47.0), 1)
+        xs = [47.0 * i / 999 for i in range(1000)]
+        expect = [ap.pdf(x) for x in xs]
+
+        def no_kernels(u):
+            raise AssertionError(f"G and L evaluated at u={u} for order 1")
+
+        monkeypatch.setattr(asymptotics, "_g_and_l", no_kernels)
+        assert [ap.pdf(x) for x in xs] == expect
+        assert max(expect) > 0.0
 
     def test_order_validation(self):
         with pytest.raises(DomainError):

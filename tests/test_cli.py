@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qsd_sr import checks
+from qsd_sr import checks, cli
 from qsd_sr.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -189,6 +189,28 @@ class TestGridCommands:
         run_cli(capsys, "pdf", "--mu", "1.5", "--A", "50", "--grid", "333", "--out", str(f1))
         run_cli(capsys, "pdf", "--mu", "1.5", "--A", "50", "--grid", "333", "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("command", ["table", "pdf", "approx", "validate"])
+    @pytest.mark.parametrize("target", ["missing_dir", "dir"])
+    def test_unwritable_out_is_usage_error(self, capsys, monkeypatch, tmp_path, command,
+                                           target):
+        # reported before any computation: none of the computing entry
+        # points is reached, and no traceback is printed
+        def no_computation(*args):
+            raise AssertionError("computed before checking --out")
+
+        monkeypatch.setattr(cli, "neg_lambda_row", no_computation)
+        monkeypatch.setattr(cli.qsd, "build_solution", no_computation)
+        for group in checks.SUITES:
+            monkeypatch.setitem(checks.SUITES, group, no_computation)
+        out = tmp_path / "missing" / "x.csv" if target == "missing_dir" else tmp_path
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"qsd-sr: error: cannot write --out {out}: ")
+        assert "Traceback" not in captured.err
 
 
 class TestValidate:

@@ -26,9 +26,12 @@ from qsd_sr import (
     ModelParams,
     QsdSolution,
     WhittakerIndex,
+    eigen_bracket,
     exp_integral_e1,
     exp_scaled_e1,
     gamma_cx,
+    lambda_order2,
+    lambda_order3,
     lower_bound_l,
     meijer_g_special,
     speed_density,
@@ -74,6 +77,24 @@ class TestTypes:
         assert ModelParams(1.0, 20.0)._replace(A=5.0) == ModelParams(1.0, 5.0)
         with pytest.raises(DomainError):
             ModelParams(1.0, 20.0)._replace(mu=0.0)
+
+    # each raised ZeroDivisionError or gave a nan or wrong bracket: mu^2 or
+    # c = mu^2 A underflowing to 0 or overflowing, then c outside the checked
+    # domain, where eigen_bracket's c * c underflows (1e-170) or its bracket
+    # rounds to (0, 0) and misses lam = -1e-300 (1e300)
+    @pytest.mark.parametrize("call,mu,A", [
+        (lambda_order2, 1e-200, 1.0),
+        (lambda_order3, 1e-200, 1.0),
+        (lambda_order2, 1e-100, 1e-250),
+        (lambda_order3, 1e-100, 1e-250),
+        (lambda p: speed_density(1.0, p), 1e-200, 1.0),
+        (eigen_bracket, 1.0, 1e-170),
+        (eigen_bracket, 1e150, 1e10),
+        (eigen_bracket, 1.0, 1e300),
+    ])
+    def test_degenerate_params_raise_domain_error(self, call, mu, A):
+        with pytest.raises(DomainError):
+            call(ModelParams(mu, A))
 
     def test_spectral_index_rejects_positive(self):
         # b = xi(lam)/2 exists only for a nonpositive eigenvalue
@@ -641,13 +662,14 @@ class TestMeijerG:
 
 class TestLowerBound:
     def test_expansion_kernels_share_l(self):
-        # the lam^2 and lam^3 kernels of the expansion use this same L
-        from qsd_sr.asymptotics import _expansion_coefficients
+        # the Lambda^2 and Lambda^3 coefficients of the expansion use this
+        # same L, bit for bit
+        from qsd_sr.asymptotics import _truncation
 
-        for x in (0.01, 1.0, 1.5, 40.0):
-            ell, cubic = _expansion_coefficients(x)
-            assert ell == lower_bound_l(x)
-            assert cubic == meijer_g_special(x) - 2.0 * ell
+        for u in (0.01, 1.0, 1.5, 40.0):
+            _, _, quadratic, cubic = _truncation(u, 3)
+            assert quadratic == 2.0 * lower_bound_l(u)
+            assert cubic == 4.0 * (meijer_g_special(u) - 2.0 * lower_bound_l(u))
 
     def test_vanishes_at_infinity(self):
         assert abs(lower_bound_l(1000.0)) < 1e-2
