@@ -117,7 +117,9 @@ def lambda_order2(params: ModelParams) -> float:
     the exact solver, it is solved in c alone and scaled by mu^2 once at the
     end, so lam(mu, A) = mu^2 lam(1, c) bit for bit.  Raises
     :class:`ThresholdTooSmallError` when the discriminant
-    disc = 1 - 4 c0 c2 = 1 - (8/c) L(2/c) is negative (no real roots)."""
+    disc = 1 - 4 c0 c2 = 1 - (8/c) L(2/c) is negative (no real roots), and
+    :class:`DomainError` for c outside [C_MIN, C_MAX], like the exact solver."""
+    _check_domain(params)
     c = params.mu2 * params.A
     c0, _, c2 = _truncation(2.0 / c, 2)
     disc = 1.0 - 4.0 * c0 * c2
@@ -136,10 +138,12 @@ def lambda_order3(params: ModelParams) -> float:
     is solved in c = mu^2 A alone and scaled by mu^2 once at the end.
 
     Raises :class:`ThresholdTooSmallError` when the cubic has three real
-    roots (the truncation is then ambiguous) or degenerates.  Note the
-    leading coefficient is positive for large A; uniqueness of the real root
-    is decided by the discriminant, not the coefficient sign.
+    roots (the truncation is then ambiguous) or degenerates, and
+    :class:`DomainError` for c outside [C_MIN, C_MAX].  Note the leading
+    coefficient is positive for large A; uniqueness of the real root is
+    decided by the discriminant, not the coefficient sign.
     """
+    _check_domain(params)
     c = params.mu2 * params.A
     c0, _, c2, c3 = _truncation(2.0 / c, 3)
     if c3 == 0.0:
@@ -204,11 +208,13 @@ LAMBDA_BY_ORDER = {1: lambda_order1, 2: lambda_order2, 3: lambda_order3}
 def build_approx(params: ModelParams, order: int) -> ApproxSolution:
     """Assemble the order-1/2/3 approximate solution (eigenvalue plus the
     exact-law normalization denominator evaluated at that eigenvalue).
-    Raises :class:`DomainError` below mu^2 A = C_MIN, like the exact law,
-    and unless ``order`` is the int 1, 2 or 3."""
+    Raises :class:`DomainError` for mu^2 A outside [C_MIN, C_MAX], like the
+    exact law, and unless ``order`` is the int 1, 2 or 3.  Inside that
+    domain every order's eigenvalue is negative, so :func:`_index_b` takes
+    it as it is and its DomainError guards a positive one."""
     if type(order) is not int or order not in LAMBDA_BY_ORDER:  # 2.0 and True hash as ints
         raise DomainError(f"approximation order must be the int 1, 2 or 3, got {order!r}")
     _check_domain(params)
     lam = LAMBDA_BY_ORDER[order](params)
-    denom = normalization(params, WhittakerIndex(0, _index_b(min(lam, 0.0), params.mu2)))
+    denom = normalization(params, WhittakerIndex(0, _index_b(lam, params.mu2)))
     return ApproxSolution(order=order, lambda_approx=lam, params=params, denom=denom)

@@ -10,14 +10,14 @@ lam = mu^2 (s - 1)/8 and the law's index b = sqrt(s)/2 once at the end:
 lam(mu, A) = mu^2 lam(1, c), and b, bit for bit whenever mu^2 A is the same
 double.  The root is searched inside the closed-form bracket obtained from
 non-negativity of the law's variance.  One 65-node uniform scan of the
-bracket locates every sign change (the bracket provably contains the
-dominant root, but uniqueness inside it is an empirical matter, hence the
-runtime check); the single sign change is narrowed by ITP (:func:`_itp`,
-the routine :func:`qsd.mode` shares) until its ends are adjacent doubles,
-which leaves lam within about eps c/8 relative of the true root.  Every
-evaluation shares the argument z_A, so the terms of the kernel's trapezoid
-sum are computed once per solve and each evaluation only weights them by
-cosh(b t_k), b = sqrt(s)/2.
+bracket must find exactly one sign change (the bracket provably contains
+the dominant root; that it holds no other is measured, not proved, so the
+count is checked on every solve); that sign change is narrowed by ITP
+(:func:`_itp`, the routine :func:`qsd.mode` shares) until its ends are
+adjacent doubles, which leaves lam within about eps c/8 relative of the
+true root.  Every evaluation shares the argument z_A, so the terms of the
+kernel's trapezoid sum are computed once per solve and each evaluation only
+weights them by cosh(b t_k), b = sqrt(s)/2.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from collections import namedtuple
 from operator import mul
 
-from .errors import AmbiguousRootError, BracketError, DomainError
+from .errors import BracketError, DomainError
 from .specfun import C_MAX, C_MIN, ModelParams, _cosh_bts, _w_terms
 
 __all__ = [
@@ -162,14 +162,13 @@ def dominant_eigenvalue(params: ModelParams) -> EigenResult:
     """Locate the dominant (largest nonpositive) eigenvalue.
 
     Works in s = 1 + 8 lam/mu^2 at c = mu^2 A.  Evaluates the eigen equation
-    at the 65 nodes of a uniform 64-interval grid over the analytic bracket.
-    Exactly one sign change is narrowed by ITP down to adjacent doubles in
+    at the 65 nodes of a uniform 64-interval grid over the analytic bracket
+    and counts its sign changes, an exact 0 counting as positive, as in
+    :func:`_itp`.  Exactly one is narrowed by ITP down to adjacent doubles in
     s, so lam carries about eps c/8 relative error; a solve takes 71-85
     evaluations (mean 77.5 over 1001 log-spaced c from 0.5 to 1e9), of
-    which the scan is 65.  No sign change raises :class:`BracketError`;
-    several raise :class:`AmbiguousRootError` with every candidate polished
-    (both in lam).  A finer grid cannot help: it contains every node of the
-    coarser one, so it only keeps or adds sign changes.  Raises
+    which the scan is 65.  Any other count raises :class:`BracketError`
+    with the count as ``changes``, after the scan's 65 evaluations.  Raises
     :class:`DomainError` for ``c = mu^2 A`` outside [C_MIN, C_MAX].
     """
     _check_domain(params)
@@ -183,21 +182,11 @@ def dominant_eigenvalue(params: ModelParams) -> EigenResult:
 
     xs = [lo + (hi - lo) * i / SCAN_NODES for i in range(SCAN_NODES + 1)]
     vs = [eq(x) for x in xs]
-    intervals = []
-    for i in range(SCAN_NODES):
-        if vs[i] == 0.0:
-            intervals.append((xs[i], xs[i], vs[i], vs[i]))
-        elif vs[i + 1] != 0.0 and (vs[i] < 0.0) != (vs[i + 1] < 0.0):
-            intervals.append((xs[i], xs[i + 1], vs[i], vs[i + 1]))
-    if vs[-1] == 0.0:
-        intervals.append((xs[-1], xs[-1], 0.0, 0.0))
-    if not intervals:
-        raise BracketError(_lam(lo, mu2), _lam(hi, mu2), vs[0], vs[-1])
-    roots = [(a, 0.0, 0) if a == b else _itp(eq, a, b, fa, fb) for a, b, fa, fb in intervals]
-    if len(roots) > 1:
-        raise AmbiguousRootError(sorted(_lam(s, mu2) for s, _, _ in roots))
-
-    s, residual, more = roots[0]
+    flips = [i for i in range(SCAN_NODES) if (vs[i] < 0.0) != (vs[i + 1] < 0.0)]
+    if len(flips) != 1:
+        raise BracketError(_lam(lo, mu2), _lam(hi, mu2), vs[0], vs[-1], len(flips))
+    (i,) = flips
+    s, residual, more = _itp(eq, xs[i], xs[i + 1], vs[i], vs[i + 1])
     return EigenResult(
         lam=_lam(s, mu2),
         b=0.5 * cmath.sqrt(s),

@@ -5,7 +5,6 @@ __all__ = [
     "DomainError",
     "ConvergenceError",
     "BracketError",
-    "AmbiguousRootError",
     "ThresholdTooSmallError",
     "NoSurvivorsError",
 ]
@@ -24,26 +23,16 @@ class ConvergenceError(QsdError, RuntimeError):
 
 
 class BracketError(QsdError, RuntimeError):
-    """The analytic eigenvalue bracket contains no sign change of the
-    eigenvalue equation.  Carries the endpoint values for diagnosis."""
+    """The scan of the analytic eigenvalue bracket did not find exactly one
+    sign change of the eigenvalue equation.  Carries the bracket's ends, the
+    equation's values there and the count of sign changes, ``changes``."""
 
-    def __init__(self, lo, hi, g_lo, g_hi):
+    def __init__(self, lo, hi, g_lo, g_hi, changes):
         self.lo, self.hi, self.g_lo, self.g_hi = lo, hi, g_lo, g_hi
+        self.changes = changes
         super().__init__(
-            f"no sign change in eigenvalue bracket [{lo:.6g}, {hi:.6g}]: "
+            f"{changes} sign changes, not 1, in eigenvalue bracket [{lo:.6g}, {hi:.6g}]: "
             f"g(lo)={g_lo:.6g}, g(hi)={g_hi:.6g}"
-        )
-
-
-class AmbiguousRootError(QsdError, RuntimeError):
-    """More than one root of the eigenvalue equation was found inside the
-    bracket; all candidates are reported."""
-
-    def __init__(self, roots):
-        self.roots = tuple(roots)
-        super().__init__(
-            "eigenvalue bracket contains more than one root: "
-            + ", ".join(f"{r:.12g}" for r in self.roots)
         )
 
 

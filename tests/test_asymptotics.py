@@ -11,6 +11,7 @@ from qsd_sr import (
     ThresholdTooSmallError,
     WhittakerIndex,
     build_approx,
+    dominant_eigenvalue,
     index_derivative_check,
     lambda_order1,
     lambda_order2,
@@ -80,6 +81,39 @@ class TestEigenvalueApproximations:
         # even though its leading coefficient is positive there
         for A in REFERENCE_TABLE:
             lambda_order3(ModelParams(mu=1.0, A=float(A)))
+
+
+class TestOrderConvergence:
+    # The relative error of lam_k against the solver's lam at 4 c per
+    # decade.  Each range stops where the solver's own eps c/8 error is
+    # still far below the order's: order 3 reads 4.4e-12 at c = 1e5 against
+    # 6.7e-13 from the true root.  err(c) / err(10 c) climbs towards 10^k as
+    # (log c / c)^k would; the bands hold the ratios measured once over
+    # these ranges (5.65-8.34, 36.7-55.4 and 216-304), rounded outwards
+    TOP_DECADE = {1: 7, 2: 5, 3: 4}
+    RATIO_BAND = {1: (5.6, 8.4), 2: (36.5, 55.5), 3: (215.0, 305.0)}
+
+    @staticmethod
+    def errors(top):
+        out = {}
+        for j in range(4 * (top - 2) + 1):
+            p = ModelParams(mu=1.0, A=10.0 ** (2.0 + j / 4))
+            lam = dominant_eigenvalue(p).lam
+            out[p.A] = [abs(f(p) - lam) / -lam for f in asymptotics.LAMBDA_BY_ORDER.values()]
+        return out
+
+    def test_errors_fall_order_by_order(self):
+        errs = self.errors(max(self.TOP_DECADE.values()))
+        cs = sorted(errs)
+        for k, top in self.TOP_DECADE.items():
+            ek = [errs[c][k - 1] for c in cs if c <= 10.0**top]
+            assert all(a > b for a, b in zip(ek, ek[1:])), k
+            lo, hi = self.RATIO_BAND[k]
+            ratios = [a / b for a, b in zip(ek, ek[4:])]
+            assert lo <= min(ratios) and max(ratios) <= hi, (k, min(ratios), max(ratios))
+            if k < 3:
+                nxt = [errs[c][k] for c in cs if c <= 10.0 ** self.TOP_DECADE[k + 1]]
+                assert all(e1 < e0 for e0, e1 in zip(ek, nxt)), k
 
 
 class TestExpansion:

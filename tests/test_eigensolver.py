@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from conftest import REFERENCE_TABLE
 from qsd_sr import (
-    AmbiguousRootError,
     BracketError,
     DomainError,
     ModelParams,
@@ -142,9 +141,10 @@ class TestSingleScan:
             return 1.0
 
         monkeypatch.setattr(eigensolver, "_eigen_equation", no_root)
-        with pytest.raises(BracketError):
+        with pytest.raises(BracketError) as exc:
             dominant_eigenvalue(self.PARAMS)
-        assert len(calls) <= 65
+        assert len(calls) == 65
+        assert exc.value.changes == 0
 
     @pytest.mark.parametrize("mu,A", [(1.0, 20.0), (1.0, 3.0), (0.5, 2.0), (2.0, 1e4)])
     def test_iterations_count_every_evaluation(self, monkeypatch, mu, A):
@@ -164,21 +164,48 @@ class TestSingleScan:
         at_root = {abs(v) for s, v in calls if eigensolver._lam(s, p.mu2) == res.lam}
         assert res.residual in at_root
 
-    def test_three_sign_changes_report_every_root(self, monkeypatch):
+    def test_three_sign_changes_raise_bracket_error(self, monkeypatch):
+        # the scan finds all three, so the solve stops after its 65
+        # evaluations and polishes none of them
         br = eigen_bracket(self.PARAMS)
         roots = [br.lo + (br.hi - br.lo) * f for f in (0.87, 0.21, 0.53)]
         mu2 = self.PARAMS.mu2
+        calls = []
 
         def three_roots(s, terms):
+            calls.append(s)
             lam = mu2 * (s - 1.0) / 8.0
             return (lam - roots[0]) * (lam - roots[1]) * (lam - roots[2])
 
         monkeypatch.setattr(eigensolver, "_eigen_equation", three_roots)
-        with pytest.raises(AmbiguousRootError) as exc:
+        with pytest.raises(BracketError) as exc:
             dominant_eigenvalue(self.PARAMS)
-        assert len(exc.value.roots) == 3
-        assert list(exc.value.roots) == sorted(exc.value.roots)
-        assert exc.value.roots == pytest.approx(sorted(roots), abs=1e-12)
+        assert exc.value.changes == 3
+        assert len(calls) == 65
+        assert "3 sign changes" in str(exc.value)
+
+
+class TestUniqueRoot:
+    # The scan requires exactly one sign change in the bracket [lo, hi] of
+    # s.  Over the whole domain the equation changes sign once on
+    # [lo - w, hi] (w = hi - lo), a bracket twice as wide, and keeps its
+    # sign from hi up to s = 1 (lam = 0), so the root in the bracket is the
+    # only one above lo - w
+    CS = [min(C_MIN * (C_MAX / C_MIN) ** (i / 199), C_MAX) for i in range(200)]
+
+    @staticmethod
+    def sign_changes(vs):
+        return sum((a < 0.0) != (b < 0.0) for a, b in zip(vs, vs[1:]))
+
+    def test_one_sign_change_and_none_above_the_bracket(self):
+        for c in self.CS:
+            lo, hi = eigensolver._s_bracket(c)
+            w = hi - lo
+            terms = eigensolver._eigen_terms(c)
+            vs = [eigensolver._eigen_equation(lo - w + 2.0 * w * j / 256, terms) for j in range(257)]
+            above = [eigensolver._eigen_equation(hi + (1.0 - hi) * j / 32, terms) for j in range(1, 33)]
+            assert self.sign_changes(vs) == 1, c
+            assert self.sign_changes(vs[-1:] + above) == 0, c
 
 
 # stalling cases for regula falsi: a steep one-sided step keeps the far end

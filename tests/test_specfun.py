@@ -81,12 +81,16 @@ class TestTypes:
     # each raised ZeroDivisionError or gave a nan or wrong bracket: mu^2 or
     # c = mu^2 A underflowing to 0 or overflowing, then c outside the checked
     # domain, where eigen_bracket's c * c underflows (1e-170) or its bracket
-    # rounds to (0, 0) and misses lam = -1e-300 (1e300)
+    # rounds to (0, 0) and misses lam = -1e-300 (1e300); the approximations
+    # returned numbers outside it, a positive lam*** at A = 1e300 and a nan
+    # lam*** and lam** = -4.7e157 at A = 1e-300
     @pytest.mark.parametrize("call,mu,A", [
         (lambda_order2, 1e-200, 1.0),
         (lambda_order3, 1e-200, 1.0),
         (lambda_order2, 1e-100, 1e-250),
         (lambda_order3, 1e-100, 1e-250),
+        *((order, 1.0, A) for order in (lambda_order2, lambda_order3)
+          for A in (1e-300, 0.3, 1e15, 1e300)),
         (lambda p: speed_density(1.0, p), 1e-200, 1.0),
         (eigen_bracket, 1.0, 1e-170),
         (eigen_bracket, 1e150, 1e10),
