@@ -36,6 +36,7 @@ from .specfun import (
     ModelParams,
     WhittakerIndex,
     _g_and_l,
+    _horner,
     meijer_g_special,
 )
 
@@ -78,7 +79,7 @@ def approx_pdfs(sols, x: float) -> list:
     coef = _truncation(u, sols[0].order if len(sols) == 1 else max(sols).order)
     out = []
     for order, lam, _, denom in sols:
-        q = pre * _horner(coef, order, lam / mu2) / denom
+        q = pre * _horner(coef[:order + 1], lam / mu2) / denom
         out.append(q if q > 0.0 else 0.0)
     return out
 
@@ -95,17 +96,11 @@ def _truncation(u: float, order: int) -> tuple:
     return 0.5 * u, 1.0, 2.0 * ell, 4.0 * (gee - 2.0 * ell)
 
 
-def _horner(coef, order: int, t: float) -> float:
-    """P_order at Lambda = t, by Horner's rule, from a truncation of order >= it."""
-    p = coef[order]
-    while order:
-        order -= 1
-        p = p * t + coef[order]
-    return p
-
-
 def lambda_order1(params: ModelParams) -> float:
-    """First-order eigenvalue approximation -1/A (drift-independent)."""
+    """First-order eigenvalue approximation -1/A (drift-independent).
+    Raises :class:`DomainError` for c = mu^2 A outside [C_MIN, C_MAX], like
+    the other orders and the exact solver."""
+    _check_domain(params)
     return -1.0 / params.A
 
 
@@ -119,8 +114,7 @@ def lambda_order2(params: ModelParams) -> float:
     :class:`ThresholdTooSmallError` when the discriminant
     disc = 1 - 4 c0 c2 = 1 - (8/c) L(2/c) is negative (no real roots), and
     :class:`DomainError` for c outside [C_MIN, C_MAX], like the exact solver."""
-    _check_domain(params)
-    c = params.mu2 * params.A
+    c = _check_domain(params)
     c0, _, c2 = _truncation(2.0 / c, 2)
     disc = 1.0 - 4.0 * c0 * c2
     if disc < 0.0:
@@ -143,8 +137,7 @@ def lambda_order3(params: ModelParams) -> float:
     coefficient is positive for large A; uniqueness of the real root is
     decided by the discriminant, not the coefficient sign.
     """
-    _check_domain(params)
-    c = params.mu2 * params.A
+    c = _check_domain(params)
     c0, _, c2, c3 = _truncation(2.0 / c, 3)
     if c3 == 0.0:
         raise ThresholdTooSmallError(
@@ -181,7 +174,7 @@ def whittaker_expansion3(x: float, lam: float, params: ModelParams) -> float:
     if not (0.0 < x < math.inf):
         raise DomainError(f"x must be finite and positive, got {x}")
     u = 2.0 / (params.mu2 * x)
-    return 2.0 * math.exp(-0.5 * u) * _horner(_truncation(u, 3), 3, lam / params.mu2)
+    return 2.0 * math.exp(-0.5 * u) * _horner(_truncation(u, 3), lam / params.mu2)
 
 
 def _index_derivative_scaled(k: int, x: float) -> float:
@@ -201,20 +194,21 @@ def _index_derivative_scaled(k: int, x: float) -> float:
     raise DomainError(f"derivative order must be 1, 2 or 3, got {k}")
 
 
-# order -> eigenvalue approximation; the one dispatch for every order-k caller
+# order -> eigenvalue approximation; the one dispatch for every order-k
+# caller, and each entry checks the domain
 LAMBDA_BY_ORDER = {1: lambda_order1, 2: lambda_order2, 3: lambda_order3}
 
 
 def build_approx(params: ModelParams, order: int) -> ApproxSolution:
     """Assemble the order-1/2/3 approximate solution (eigenvalue plus the
     exact-law normalization denominator evaluated at that eigenvalue).
-    Raises :class:`DomainError` for mu^2 A outside [C_MIN, C_MAX], like the
-    exact law, and unless ``order`` is the int 1, 2 or 3.  Inside that
-    domain every order's eigenvalue is negative, so :func:`_index_b` takes
-    it as it is and its DomainError guards a positive one."""
+    Raises :class:`DomainError` unless ``order`` is the int 1, 2 or 3, and,
+    from the order's eigenvalue, for mu^2 A outside [C_MIN, C_MAX], like the
+    exact law.  Inside that domain every order's eigenvalue is negative, so
+    :func:`_index_b` takes it as it is and its DomainError guards a positive
+    one."""
     if type(order) is not int or order not in LAMBDA_BY_ORDER:  # 2.0 and True hash as ints
         raise DomainError(f"approximation order must be the int 1, 2 or 3, got {order!r}")
-    _check_domain(params)
     lam = LAMBDA_BY_ORDER[order](params)
     denom = normalization(params, WhittakerIndex(0, _index_b(lam, params.mu2)))
     return ApproxSolution(order=order, lambda_approx=lam, params=params, denom=denom)

@@ -86,19 +86,21 @@ def _index_b(lam: float, mu2: float) -> complex:
 
 def eigen_bracket(params: ModelParams) -> EigenBracket:
     """Analytic bracket for the dominant eigenvalue; DomainError outside the solver's domain."""
-    _check_domain(params)
     mu2 = params.mu2
-    lo, hi = _s_bracket(mu2 * params.A)
+    lo, hi = _s_bracket(_check_domain(params))
     return EigenBracket(lo=_lam(lo, mu2), hi=_lam(hi, mu2))
 
 
-def _check_domain(params: ModelParams) -> None:
-    """Raise :class:`DomainError` unless C_MIN <= c = mu^2 A <= C_MAX."""
+def _check_domain(params: ModelParams) -> float:
+    """c = mu^2 A, the one parameter of the eigenvalue and of its
+    approximations; raises :class:`DomainError` unless
+    C_MIN <= c <= C_MAX."""
     c = params.mu2 * params.A
     if not (c >= C_MIN):
         raise DomainError(f"mu^2 A = {c!r} lies below the checked domain mu^2 A >= {C_MIN}")
     if not (c <= C_MAX):
         raise DomainError(f"mu^2 A = {c!r} lies above the checked domain mu^2 A <= {C_MAX:g}")
+    return c
 
 
 def _eigen_terms(c: float) -> tuple:
@@ -171,9 +173,8 @@ def dominant_eigenvalue(params: ModelParams) -> EigenResult:
     with the count as ``changes``, after the scan's 65 evaluations.  Raises
     :class:`DomainError` for ``c = mu^2 A`` outside [C_MIN, C_MAX].
     """
-    _check_domain(params)
+    c = _check_domain(params)
     mu2 = params.mu2
-    c = mu2 * params.A
     lo, hi = _s_bracket(c)
     terms = _eigen_terms(c)
 

@@ -43,8 +43,8 @@ class QsdSolution(namedtuple("QsdSolution", "params se denom w0 w1 w2")):
     parameters, the solver's eigenvalue and spectral index, the
     normalization denominator of the closed-form law, and the Whittaker
     indices W_{0,b}, W_{1,b}, W_{2,b} of the cdf, the pdf and the pdf's
-    slope, built once so that their rows cosh(b t_k) v_k^j are computed
-    once per law, not per point."""
+    slope, built once so that each computes its row cosh(b t_k) once per
+    law, not per point."""
 
     __slots__ = ()
 

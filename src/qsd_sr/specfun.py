@@ -22,12 +22,12 @@ It also keeps :func:`gamma_cx`, the Gamma function for complex arguments
 benchmark's per-layer probes still time it.
 
 The functions hold no global mutable state.  The one mutable thing is per
-index: a :class:`WhittakerIndex` fills its rows cosh(b t_k) v_k^j on the
-127 fixed-step nodes (v_k = -(cosh t_k - 1), j = 0..a) on its first
-evaluation there, and its constants of Temme's series on its first
-evaluation by the series, and keeps them.  Each fill is idempotent (every
-thread computes the same value, and a racing write only replaces it with an
-equal one), so indices may be shared between threads.
+index: a :class:`WhittakerIndex` fills its one row cosh(b t_k) on the 127
+fixed-step nodes on its first evaluation there, whatever its a, and its
+constants of Temme's series on its first evaluation by the series, and
+keeps them.  Each fill is idempotent (every thread computes the same value,
+and a racing write only replaces it with an equal one), so indices may be
+shared between threads.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class WhittakerIndex(namedtuple("WhittakerIndex", "a b")):
     checks and centered index-derivative probes at b = 1/2 remain expressible.
     """
 
-    # no __slots__: the instance __dict__ holds the cached _rows and _bessel
+    # no __slots__: the instance __dict__ holds the cached _cosh_row and _bessel
 
     def __new__(cls, a: int, b: complex):
         if a not in (0, 1, 2):
@@ -123,18 +123,21 @@ class WhittakerIndex(namedtuple("WhittakerIndex", "a b")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     @cached_property
-    def _rows(self) -> list:
-        """The a + 1 rows cosh(b t_k) v_k^j, j = 0..a, of
-        :func:`_moment_rows` on the fixed-step nodes, computed on the first
-        evaluation at x <= _X_FIXED and kept in the instance dict, not in
-        the tuple, so ``==``, ``hash`` and ``repr`` ignore it."""
-        return _moment_rows(self.a, self.b, _T, _NCM1)
+    def _cosh_row(self) -> list:
+        """cosh(b t_k) on the 127 fixed-step nodes, the one factor of the
+        sum of :func:`whittaker_w_scaled` that depends on b; computed on the
+        first evaluation at x <= _X_FIXED and kept in the instance dict, not
+        in the tuple, so ``==``, ``hash`` and ``repr`` ignore it.  A list,
+        not a tuple: with tuples, one law after another raised the resident
+        size of a Python 3.11 process on Linux by 0.6 MB over 600 laws; with
+        lists it stayed flat."""
+        return list(_cosh_bts(self.b, _T))
 
     @cached_property
     def _bessel(self) -> tuple | None:
         """The constants of :func:`_w_bessel` for this index, or None unless
         b is real with |b| <= 1/2; computed on the first evaluation at
-        z <= _Z_BESSEL and kept beside _rows."""
+        z <= _Z_BESSEL and kept beside _cosh_row."""
         b = self.b
         if b.imag != 0.0 or not abs(b.real) <= 0.5:
             return None
@@ -223,7 +226,7 @@ def _reach(t: float) -> float:
 
 # The fixed-step nodes t_k = k _H, k >= 1, that the sum keeps at _Z_MIN
 # (127 of them); -(cosh t_k - 1), written without cancellation; and,
-# ascending, -x_k with x_k = _reach(t_k).  Each index caches its rows on
+# ascending, -x_k with x_k = _reach(t_k).  Each index caches cosh(b t_k) on
 # all of them.
 _T = tuple(takewhile(lambda t: _reach(t) >= 0.5 * _Z_MIN, (k * _H for k in count(1))))
 _NCM1 = tuple(-2.0 * math.sinh(0.5 * t) ** 2 for t in _T)
@@ -290,34 +293,24 @@ def whittaker_w_scaled(idx: WhittakerIndex, z: float) -> float:
         if consts is not None:
             return _w_bessel(a, consts, z)
     x, h, n, ts, v = _grid(z)
-    rows = idx._rows if x <= _X_FIXED else _moment_rows(a, b, ts, v)
     f = math.sqrt(z) * h / _SQRT_PI
     # p_a(s_k) = c0 - c1 x v_k + c2 (x v_k)^2 at s_k = z - x v_k, with
-    # (c0, c1, c2) from _taylor, so with E_k = exp(x v_k) and
-    # S_j = sum_k rows[j][k] E_k the sum is c0 (1/2 + S_0) - c1 x S_1
-    # + c2 x^2 S_2, without S_2 for a = 1; the node t = 0 has half weight.
-    e = map(math.exp, map(mul, repeat(x, n), v))
+    # (c0, c1, c2) from _taylor.  With C_k = cosh(b t_k), E_k = exp(x v_k)
+    # and the moment sums S_j = sum_k C_k E_k v_k^j, the sum is
+    # c0 (1/2 + S_0) - c1 x S_1 + c2 x^2 S_2, without S_2 for a = 1; the node
+    # t = 0 has half weight.  S_1 and S_2 reuse the products C_k E_k of S_0,
+    # each times v_k once more, so only C_k depends on the index.
+    ce = map(mul, idx._cosh_row if x <= _X_FIXED else _cosh_bts(b, ts),
+             map(math.exp, map(mul, repeat(x, n), v)))
     if not a:
-        return f * (0.5 + sum(map(mul, rows[0], e)))
-    e = list(e)
+        return f * (0.5 + sum(ce))
+    ce = list(ce)
+    cev = map(mul, ce, v) if a == 1 else list(map(mul, ce, v))
     c0, c1, c2 = _taylor(a, z)
-    acc = c0 * (0.5 + sum(map(mul, rows[0], e))) - c1 * (x * sum(map(mul, rows[1], e)))
+    acc = c0 * (0.5 + sum(ce)) - c1 * (x * sum(cev))
     if a == 2:
-        acc += c2 * x * x * sum(map(mul, rows[2], e))
+        acc += c2 * x * x * sum(map(mul, cev, v))
     return f / (z if a == 1 else z * z) * acc
-
-
-def _moment_rows(a: int, b: complex, ts, v) -> list:
-    """The a + 1 rows cosh(b t_k) v_k^j, j = 0..a, over the nodes ts, with
-    v a sequence (at least as long) of v_k = -(cosh t_k - 1): the factors
-    that the moment sums S_j of :func:`whittaker_w_scaled` weight by
-    exp(x v_k).  Lists, not tuples: with tuples, one law after another
-    (six 127-item rows each) raised the resident size of a Python 3.11
-    process on Linux by 0.6 MB over 600 laws; with lists it stayed flat."""
-    rows = [list(_cosh_bts(b, ts))]
-    for _ in range(a):
-        rows.append(list(map(mul, rows[-1], v)))
-    return rows
 
 
 # W_0 and W_1 of a real index |b| <= 1/2 at z <= _Z_BESSEL come from Temme's

@@ -11,6 +11,7 @@ from qsd_sr import (
     ThresholdTooSmallError,
     WhittakerIndex,
     build_approx,
+    build_solution,
     dominant_eigenvalue,
     index_derivative_check,
     lambda_order1,
@@ -92,28 +93,62 @@ class TestOrderConvergence:
     # these ranges (5.65-8.34, 36.7-55.4 and 216-304), rounded outwards
     TOP_DECADE = {1: 7, 2: 5, 3: 4}
     RATIO_BAND = {1: (5.6, 8.4), 2: (36.5, 55.5), 3: (215.0, 305.0)}
+    # The same for the densities: sup |q_k - q| / max q over 400 points
+    # x = 2/z, z log-spaced on [2/c, 1e3], so the bulk of the law is sampled
+    # at every c (the CLI's uniform grid puts 1-2 points there at large c).
+    # Every error on these ranges is at least 69 times the solver's
+    # eps c/8; the ratios measured once were 34.5-57.6, 223-375 and
+    # 1311-1687
+    DENSITY_TOP_DECADE = {1: 5.0, 2: 4.5, 3: 3.5}
+    DENSITY_RATIO_BAND = {1: (34.0, 58.0), 2: (220.0, 380.0), 3: (1300.0, 1700.0)}
 
     @staticmethod
-    def errors(top):
+    def cs(top):
+        return [10.0 ** (2.0 + j / 4) for j in range(int(4 * (top - 2)) + 1)]
+
+    @classmethod
+    def errors(cls, top):
         out = {}
-        for j in range(4 * (top - 2) + 1):
-            p = ModelParams(mu=1.0, A=10.0 ** (2.0 + j / 4))
+        for c in cls.cs(top):
+            p = ModelParams(mu=1.0, A=c)
             lam = dominant_eigenvalue(p).lam
-            out[p.A] = [abs(f(p) - lam) / -lam for f in asymptotics.LAMBDA_BY_ORDER.values()]
+            out[c] = [abs(f(p) - lam) / -lam for f in asymptotics.LAMBDA_BY_ORDER.values()]
         return out
 
-    def test_errors_fall_order_by_order(self):
-        errs = self.errors(max(self.TOP_DECADE.values()))
+    @classmethod
+    def density_errors(cls, top):
+        out = {}
+        for c in cls.cs(top):
+            p = ModelParams(mu=1.0, A=c)
+            sol = build_solution(p)
+            sols = [build_approx(p, k) for k in asymptotics.LAMBDA_BY_ORDER]
+            xs = [c / (500.0 * c) ** (i / 399) for i in range(400)]  # x = 2/z at mu = 1
+            q = [pdf(x, sol) for x in xs]
+            qk = [approx_pdfs(sols, x) for x in xs]
+            peak = max(q)
+            out[c] = [max(abs(row[k] - v) for row, v in zip(qk, q)) / peak for k in range(3)]
+        return out
+
+    @staticmethod
+    def assert_fall_order_by_order(errs, top_decade, ratio_band):
         cs = sorted(errs)
-        for k, top in self.TOP_DECADE.items():
+        for k, top in top_decade.items():
             ek = [errs[c][k - 1] for c in cs if c <= 10.0**top]
             assert all(a > b for a, b in zip(ek, ek[1:])), k
-            lo, hi = self.RATIO_BAND[k]
+            lo, hi = ratio_band[k]
             ratios = [a / b for a, b in zip(ek, ek[4:])]
             assert lo <= min(ratios) and max(ratios) <= hi, (k, min(ratios), max(ratios))
             if k < 3:
-                nxt = [errs[c][k] for c in cs if c <= 10.0 ** self.TOP_DECADE[k + 1]]
+                nxt = [errs[c][k] for c in cs if c <= 10.0 ** top_decade[k + 1]]
                 assert all(e1 < e0 for e0, e1 in zip(ek, nxt)), k
+
+    def test_errors_fall_order_by_order(self):
+        errs = self.errors(max(self.TOP_DECADE.values()))
+        self.assert_fall_order_by_order(errs, self.TOP_DECADE, self.RATIO_BAND)
+
+    def test_density_errors_fall_order_by_order(self):
+        errs = self.density_errors(max(self.DENSITY_TOP_DECADE.values()))
+        self.assert_fall_order_by_order(errs, self.DENSITY_TOP_DECADE, self.DENSITY_RATIO_BAND)
 
 
 class TestExpansion:
@@ -144,7 +179,7 @@ class TestExpansion:
         u = 2.0 / (p.mu2 * p.A)
         for order, lam in ((2, lambda_order2(p)), (3, lambda_order3(p))):
             coef = asymptotics._truncation(u, order)
-            resid = asymptotics._horner(coef, order, lam / p.mu2)
+            resid = specfun._horner(coef, lam / p.mu2)
             assert abs(resid) < 1e-9 * coef[0], order
         lam3 = lambda_order3(p)
         resid = whittaker_expansion3(20.0, lam3, p)

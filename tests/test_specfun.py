@@ -30,6 +30,7 @@ from qsd_sr import (
     exp_integral_e1,
     exp_scaled_e1,
     gamma_cx,
+    lambda_order1,
     lambda_order2,
     lambda_order3,
     lower_bound_l,
@@ -83,13 +84,13 @@ class TestTypes:
     # domain, where eigen_bracket's c * c underflows (1e-170) or its bracket
     # rounds to (0, 0) and misses lam = -1e-300 (1e300); the approximations
     # returned numbers outside it, a positive lam*** at A = 1e300 and a nan
-    # lam*** and lam** = -4.7e157 at A = 1e-300
+    # lam*** and lam** = -4.7e157 at A = 1e-300; lam* returned -1/A at all four A
     @pytest.mark.parametrize("call,mu,A", [
         (lambda_order2, 1e-200, 1.0),
         (lambda_order3, 1e-200, 1.0),
         (lambda_order2, 1e-100, 1e-250),
         (lambda_order3, 1e-100, 1e-250),
-        *((order, 1.0, A) for order in (lambda_order2, lambda_order3)
+        *((order, 1.0, A) for order in (lambda_order1, lambda_order2, lambda_order3)
           for A in (1e-300, 0.3, 1e15, 1e300)),
         (lambda p: speed_density(1.0, p), 1e-200, 1.0),
         (eigen_bracket, 1.0, 1e-170),
@@ -481,8 +482,8 @@ class TestBesselBranch:
 
 
 class TestIndexReuse:
-    """An index keeps its rows cosh(b t_k) v_k^j on the fixed-step nodes,
-    and a reused index gives exactly what a fresh one gives."""
+    """An index keeps its one row cosh(b t_k) on the fixed-step nodes, and
+    a reused index gives exactly what a fresh one gives."""
 
     # one index per path through whittaker_w_scaled, with z on that path
     BRANCHES = {
@@ -513,7 +514,7 @@ class TestIndexReuse:
         before = (repr(idx), hash(idx))
         for z in (0.5, 2.0, 40.0):
             whittaker_w_scaled(idx, z)
-        assert "_rows" in vars(idx)
+        assert len(vars(idx)["_cosh_row"]) == 127  # one row, whatever a
         assert (repr(idx), hash(idx)) == before
         assert repr(idx) == "WhittakerIndex(a=1, b=(0.3+0j))"
         assert idx == WhittakerIndex(1, 0.3) and hash(idx) == hash(WhittakerIndex(1, 0.3))
@@ -526,8 +527,8 @@ class TestIndexReuse:
     @pytest.mark.parametrize("a", [0, 1, 2])
     @pytest.mark.parametrize("b", [0.0, 0.3, -0.45, 0.5, 0.55, 0.4j, 3.5565j])
     def test_rows_match_terms_summed_per_node(self, a, b):
-        # the kernel sums its cached (fixed step) or per-call rows against
-        # one exp pass;
+        # the kernel sums its cached (fixed step) or streamed cosh(b t_k)
+        # times one exp pass, then times v_k for each moment;
         # _w_terms multiplies each node's weight out first, so the two agree
         # to rounding in the sum of |terms|
         idx = WhittakerIndex(a, b)
