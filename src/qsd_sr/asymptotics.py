@@ -32,13 +32,7 @@ from collections import namedtuple
 from .eigensolver import _check_domain, _index_b
 from .errors import DomainError, ThresholdTooSmallError
 from .qsd import normalization
-from .specfun import (
-    ModelParams,
-    WhittakerIndex,
-    _g_and_l,
-    _horner,
-    meijer_g_special,
-)
+from .specfun import ModelParams, WhittakerIndex, _g_and_l, _horner
 
 __all__ = [
     "ApproxSolution",
@@ -180,18 +174,15 @@ def whittaker_expansion3(x: float, lam: float, params: ModelParams) -> float:
 def _index_derivative_scaled(k: int, x: float) -> float:
     """Closed form of the k-th derivative of W_{1,b}(x) in b at b = 1/2
     without its factor e^{-x/2}, which underflows to 0 above x = 1491:
-    1, 2 (e^x E1(x) + x G(x)) and 6 G(x) for k = 1, 2, 3.  Raises
-    :class:`DomainError` unless x is finite and positive."""
+    1, 2 (e^x E1(x) + x G(x)) = 2 (L(x) + 1) and 6 G(x) for k = 1, 2, 3:
+    c1, c2 + 2 and 1.5 c3 + 6 c2 of :func:`_truncation` at x.  Raises
+    :class:`DomainError` unless x is finite and positive and k is 1, 2 or 3."""
     if not (0.0 < x < math.inf):
         raise DomainError(f"x must be finite and positive, got {x}")
-    if k == 1:
-        return 1.0
-    if k == 2:
-        # e^x E1(x) + x G(x) = L(x) + 1
-        return 2.0 * (_g_and_l(x)[1] + 1.0)
-    if k == 3:
-        return 6.0 * meijer_g_special(x)
-    raise DomainError(f"derivative order must be 1, 2 or 3, got {k}")
+    if type(k) is not int or k not in (1, 2, 3):  # it indexes a tuple
+        raise DomainError(f"derivative order must be 1, 2 or 3, got {k}")
+    _, c1, c2, c3 = _truncation(x, 3)
+    return (c1, c2 + 2.0, 1.5 * c3 + 6.0 * c2)[k - 1]
 
 
 # order -> eigenvalue approximation; the one dispatch for every order-k

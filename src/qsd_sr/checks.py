@@ -42,10 +42,12 @@ REFERENCE_TABLE = {
 # neg_lambda_row: the eigenvalue, then its order-1/2/3 approximations
 GOLDEN_TOL = (1e-10, 1e-9, 1e-9, 1e-9)
 
-# the Monte-Carlo suite's model, headstart, seed, paths, step and horizon; its
-# KS bound 0.01 fits the ~62k survivors (an exact simulator fails it w.p. 8e-6)
+# the Monte-Carlo suite's model and headstart; its KS bound 0.01 fits the
+# ~62k survivors (an exact simulator fails it w.p. 8e-6)
 MC_PARAMS, MC_HEADSTART = ModelParams(mu=1.0, A=20.0), 5.0
-MC_SEED, MC_PATHS, MC_DT, MC_HORIZON = 20260810, 200000, 1e-3, 18.0
+# the config block of validate's report: the eigenvalue's golden tolerance,
+# then the Monte-Carlo suite's paths, step, horizon and seed, which _mc reads
+CONFIG = {"tol": GOLDEN_TOL[0], "paths": 200000, "dt": 1e-3, "horizon": 18.0, "seed": 20260810}
 
 
 def neg_lambda_row(params):
@@ -60,13 +62,16 @@ def neg_lambda_row(params):
     return row
 
 
-def golden_comparison(params, row):
-    """(reference, |value - reference|) for each value of a
-    :func:`neg_lambda_row` at ``params``; empty where the golden table has no
-    row.  The table is at mu = 1 and lam depends on mu^2 alone, so it
-    applies whenever mu^2 == 1."""
+def golden_checks(params, row):
+    """The ``exact`` suite's golden entries for a :func:`neg_lambda_row` at
+    ``params``, one per column, held to its :data:`GOLDEN_TOL`; none where the
+    table has no row.  The table is at mu = 1 and lam depends on mu^2 alone,
+    so it applies whenever mu^2 == 1."""
     refs = REFERENCE_TABLE.get(params.A) if params.mu2 == 1.0 else None
-    return [(float(r), abs(v - float(r))) for v, r in zip(row, refs or ())]
+    names = ("eigenvalue", *(f"lambda_order{k}" for k in asymptotics.LAMBDA_BY_ORDER))
+    return [_check(f"{name}_A{params.A:g}", "exact", abs(v - float(r)), tol,
+                   detail=f"computed {v:.12f}, reference {float(r):.12f}")
+            for name, v, r, tol in zip(names, row, refs or (), GOLDEN_TOL)]
 
 
 # Tanh-sinh quadrature: nodes t = k h on [-QUAD_T_MAX, QUAD_T_MAX], where the
@@ -205,12 +210,9 @@ def _check(name, group, residual, tolerance, detail=""):
 
 
 def _exact():
-    names = ("eigenvalue", *(f"lambda_order{k}" for k in asymptotics.LAMBDA_BY_ORDER))
     for a in REFERENCE_TABLE:
         p = ModelParams(mu=1.0, A=float(a))
-        golden = golden_comparison(p, neg_lambda_row(p))
-        for name, (_, dev), tol in zip(names, golden, GOLDEN_TOL):
-            yield _check(f"{name}_A{a}", "exact", dev, tol)
+        yield from golden_checks(p, neg_lambda_row(p))
     for mu in (0.5, 1.0, 1.5):
         for a in (5.0, 20.0, 100.0):
             sol = qsd.build_solution(ModelParams(mu=mu, A=a))
@@ -255,8 +257,8 @@ def _mc():
     from . import oracle
 
     sol = qsd.build_solution(MC_PARAMS)
-    law = oracle.simulate_killed_sr(MC_PARAMS, r=MC_HEADSTART, dt=MC_DT, T=MC_HORIZON,
-                                    n_paths=MC_PATHS, seed=MC_SEED)
+    law = oracle.simulate_killed_sr(MC_PARAMS, r=MC_HEADSTART, dt=CONFIG["dt"], T=CONFIG["horizon"],
+                                    n_paths=CONFIG["paths"], seed=CONFIG["seed"])
     yield _check("mc_ks_distance", "mc", _ks_distance(law.samples, sol), 0.01,
                  detail=f"{law.n_survivors} survivors of {law.n_paths_total}")
 

@@ -13,9 +13,9 @@ point) or JSON; numbers carry 17 significant digits so artifacts re-parse to
 the emitted values.  Identical configurations (including seeds) produce
 byte-identical output.
 
-validate runs every check at the fixed settings of qsd_sr.checks (golden
-tolerances, Monte-Carlo seed, paths, step and horizon): it can skip a suite
-but not change what a check means.
+table (every golden column) and validate run every check at the fixed
+settings of qsd_sr.checks (golden tolerances, Monte-Carlo seed, paths, step
+and horizon): validate can skip a suite but not change what a check means.
 
 Exit codes: 0 success, 1 computational failure, 2 validation mismatch,
 64 usage error (an unwritable --out path too, found before any computing).
@@ -28,8 +28,7 @@ import math
 import sys
 
 from . import asymptotics, qsd
-from .checks import (GOLDEN_TOL, MC_DT, MC_HORIZON, MC_PATHS, MC_SEED, REFERENCE_TABLE, SUITES,
-                     golden_comparison, neg_lambda_row)
+from .checks import CONFIG, REFERENCE_TABLE, SUITES, golden_checks, neg_lambda_row
 from .eigensolver import _check_domain
 from .errors import DomainError, QsdError, ThresholdTooSmallError
 from .specfun import ModelParams
@@ -64,14 +63,11 @@ def _write_table(columns, rows, fmt, out, warnings=()):
 
 
 def cmd_table(args) -> int:
-    rows = []
-    mismatches = []
+    rows, mismatches = [], []
     for p in args.params:
         row = neg_lambda_row(p)
         rows.append((p.A, *row))
-        golden = golden_comparison(p, row)
-        if golden and golden[0][1] > GOLDEN_TOL[0]:
-            mismatches.append((p.A, row[0], golden[0][0]))
+        mismatches += [(p.A, c) for c in golden_checks(p, row) if c["status"] == "fail"]
     columns = ["A", "neg_lambda", *(f"neg_lambda_order{k}" for k in asymptotics.LAMBDA_BY_ORDER)]
     if args.format == "json":
         import json
@@ -85,8 +81,8 @@ def cmd_table(args) -> int:
             lines.append(",".join([f"{r[0]:g}"] + [f"{v:.12f}" for v in r[1:]]))
         text = "\n".join(lines) + "\n"
     args.out.write(text)
-    for a, got, ref in mismatches:
-        print(f"mismatch at A={a:g}: computed {got:.12f}, reference {ref:.12f}", file=sys.stderr)
+    for a, c in mismatches:
+        print(f"mismatch at A={a:g}: {c['detail']} ({c['name']})", file=sys.stderr)
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
@@ -137,9 +133,7 @@ def cmd_validate(args) -> int:
         else:
             checks.extend(suite())
     failed = [c for c in checks if c["status"] == "fail"]
-    config = {"tol": GOLDEN_TOL[0], "paths": MC_PATHS, "dt": MC_DT, "horizon": MC_HORIZON,
-              "seed": MC_SEED}
-    report = {"config": {**config, "skip": sorted(skip)}, "checks": checks, "n_failed": len(failed)}
+    report = {"config": {**CONFIG, "skip": sorted(skip)}, "checks": checks, "n_failed": len(failed)}
     args.out.write(json.dumps(report, indent=2) + "\n")
     for c in failed:
         print(f"FAIL {c['name']}: residual {c['residual']:.3e} > tol {c['tolerance']:.3e}",

@@ -238,8 +238,10 @@ class TestIndexDerivatives:
             assert index_derivative_check(k, x) < 3e-13, k
 
     def test_order_validation(self):
-        with pytest.raises(DomainError, match="derivative order"):
-            _index_derivative_scaled(4, 1.0)
+        # k indexes a tuple of the three closed forms, so 2.0 is refused too
+        for k in (4, 2.0):
+            with pytest.raises(DomainError, match="derivative order"):
+                _index_derivative_scaled(k, 1.0)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, 0.0, -1.0])
     def test_argument_must_be_finite_and_positive(self, x):
@@ -254,11 +256,11 @@ class TestIndexDerivatives:
 
     @pytest.mark.parametrize("target", ["G", "kernel terms"])
     def test_identities_suite_catches_a_relative_error_of_1e_9(self, target, monkeypatch):
-        # G enters the k = 2 and 3 closed forms, the kernel's terms the
-        # kernel side of all three
+        # G enters the k = 2 and 3 closed forms through the truncation's
+        # coefficients, the kernel's terms the kernel side of all three
         if target == "G":
-            g = asymptotics.meijer_g_special
-            monkeypatch.setattr(asymptotics, "meijer_g_special", lambda x: g(x) * (1.0 + 1e-9))
+            g = specfun.meijer_g_special
+            monkeypatch.setattr(specfun, "meijer_g_special", lambda x: g(x) * (1.0 + 1e-9))
         else:
             w_terms = specfun._w_terms
 

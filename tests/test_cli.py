@@ -51,6 +51,20 @@ class TestTable:
             assert err.startswith("mismatch at A=20: computed 0.058856148622, "
                                   "reference 0.058856158622")
 
+    @pytest.mark.parametrize("column,name", enumerate(
+        ("eigenvalue", "lambda_order1", "lambda_order2", "lambda_order3")))
+    def test_drifted_column_fails(self, capsys, monkeypatch, column, name):
+        # each golden column of A = 20 moved by 100 times its GOLDEN_TOL,
+        # alone: table fails and names that column, at either sign of mu
+        ref = list(checks.REFERENCE_TABLE[20])
+        ref[column] = f"{float(ref[column]) + 100 * checks.GOLDEN_TOL[column]:.12f}"
+        monkeypatch.setitem(checks.REFERENCE_TABLE, 20, tuple(ref))
+        for mu in ("1", "-1"):
+            code, _, err = run_cli(capsys, "table", "--mu", mu, "--A", "20")
+            assert code == EXIT_MISMATCH, mu
+            assert err.startswith("mismatch at A=20: computed "), err
+            assert err.count("\n") == 1 and f"({name}_A20)" in err, err
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["table", "--bogus"])
