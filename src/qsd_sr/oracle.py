@@ -220,8 +220,8 @@ def sturm_liouville_eigen(params: ModelParams, n_grid: int) -> GridSolution:
     c = mu^2 A grows, and nothing is raised when it does.  Against 40-digit
     roots at n = 2e4, the eigenvalue is 9.0e-9 off (relative) at c = 0.5,
     4.2e-10 to 6.3e-10 off for c from 20 to 1e5, but 7.1e-7 off at c = 1e7
-    and 0.26 at c = 1e9.  A geometric grid with one Richardson step (ROADMAP
-    item 4) is the fix.
+    and 0.26 at c = 1e9.  A geometric grid, whose first node keeps clear of
+    the boundary layer at every c, with one Richardson step is the fix.
     """
     if not (isinstance(n_grid, Integral) and n_grid >= 100):
         raise DomainError(f"n_grid must be an integer of at least 100, got {n_grid!r}")

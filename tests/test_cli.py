@@ -1,9 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from qsd_sr import checks, cli
+from qsd_sr import ModelParams, checks, cli, dominant_eigenvalue
 from qsd_sr.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -13,57 +14,68 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# the default table: the golden rows as computed, printed at 12 decimals
+TABLE_CSV = """\
+A,neg_lambda,neg_lambda_order1,neg_lambda_order2,neg_lambda_order3
+20,0.058856148622,0.050000000000,0.059819055496,0.058817735494
+30,0.037786534271,0.033333333333,0.038112172230,0.037776614280
+40,0.027727324417,0.025000000000,0.027880519395,0.027723505394
+50,0.021861600950,0.020000000000,0.021947421685,0.021859775780
+100,0.010563106075,0.010000000000,0.010577520296,0.010562921283
+500,0.002033066472,0.002000000000,0.002033295282,0.002033065611
+1000,0.001009517200,0.001000000000,0.001009554734,0.001009517118
+10000,0.000100139278,0.000100000000,0.000100139359,0.000100139278
+"""
+TABLE_LINES = TABLE_CSV.splitlines(keepends=True)
+
+
 class TestTable:
     def test_default_run(self, capsys):
-        code, out, _ = run_cli(capsys, "table")
-        assert code == EXIT_OK
-        lines = out.strip().split("\n")
-        assert lines[0].startswith("A,neg_lambda")
-        row20 = next(l for l in lines if l.startswith("20,"))
-        assert row20.split(",")[1] == "0.058856148622"
-        assert row20.split(",")[2] == "0.050000000000"
-        assert row20.split(",")[3] == "0.059819055496"
-        assert row20.split(",")[4] == "0.058817735494"
+        assert run_cli(capsys, "table") == (EXIT_OK, TABLE_CSV, "")
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--A", "20", "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["columns"][0] == "A"
-        assert doc["rows"][0][1] == pytest.approx(0.058856148622, abs=1e-12)
+        assert doc["columns"] == TABLE_LINES[0].strip().split(",")
+        assert doc["rows"] == [[float(v) for v in TABLE_LINES[1].split(",")]]
 
     def test_single_threshold(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--A", "10000")
         assert code == EXIT_OK
-        lines = out.strip().split("\n")
-        assert len(lines) == 2
-        assert lines[1].split(",")[1] == "0.000100139278"
+        assert out == TABLE_LINES[0] + TABLE_LINES[-1]
 
     def test_impossible_tolerance(self, capsys, monkeypatch):
-        # a golden eigenvalue moved by 1e-8, 100 times GOLDEN_TOL[0]; lam
-        # depends on mu^2 alone, so mu = -1 is held to the mu = 1 table
+        # a golden eigenvalue moved by 100 times its relative tolerance; lam
+        # depends on mu^2 alone, so mu = -1 is held to the mu = 1 table.  The
+        # line shows both values to 17 digits, where they differ
         ref = checks.REFERENCE_TABLE[20]
-        monkeypatch.setitem(checks.REFERENCE_TABLE, 20,
-                            (f"{float(ref[0]) + 1e-8:.12f}", *ref[1:]))
+        moved = ref[0] * (1.0 + 100 * checks.golden_tolerances(20.0)[0])
+        monkeypatch.setitem(checks.REFERENCE_TABLE, 20, (moved, *ref[1:]))
+        computed = -dominant_eigenvalue(ModelParams(mu=1.0, A=20.0)).lam
+        assert f"{computed:.17g}" != f"{moved:.17g}"
         for mu in ("1", "-1"):
             code, _, err = run_cli(capsys, "table", "--mu", mu)
             assert code == EXIT_MISMATCH, mu
-            assert err.startswith("mismatch at A=20: computed 0.058856148622, "
-                                  "reference 0.058856158622")
+            assert err == (f"mismatch at A=20: computed {computed:.17g}, "
+                           f"reference {moved:.17g} (eigenvalue_A20)\n")
 
     @pytest.mark.parametrize("column,name", enumerate(
         ("eigenvalue", "lambda_order1", "lambda_order2", "lambda_order3")))
     def test_drifted_column_fails(self, capsys, monkeypatch, column, name):
-        # each golden column of A = 20 moved by 100 times its GOLDEN_TOL,
-        # alone: table fails and names that column, at either sign of mu
-        ref = list(checks.REFERENCE_TABLE[20])
-        ref[column] = f"{float(ref[column]) + 100 * checks.GOLDEN_TOL[column]:.12f}"
-        monkeypatch.setitem(checks.REFERENCE_TABLE, 20, tuple(ref))
-        for mu in ("1", "-1"):
-            code, _, err = run_cli(capsys, "table", "--mu", mu, "--A", "20")
-            assert code == EXIT_MISMATCH, mu
-            assert err.startswith("mismatch at A=20: computed "), err
-            assert err.count("\n") == 1 and f"({name}_A20)" in err, err
+        # each golden column of A = 20 moved alone, by 100 times its relative
+        # tolerance and by 1e-12 relative, which twelve decimals would hide:
+        # table fails and names that column, at either sign of mu
+        ref = checks.REFERENCE_TABLE[20]
+        for drift in (100 * checks.golden_tolerances(20.0)[column], 1e-12):
+            moved = list(ref)
+            moved[column] *= 1.0 + drift
+            monkeypatch.setitem(checks.REFERENCE_TABLE, 20, tuple(moved))
+            for mu in ("1", "-1"):
+                code, _, err = run_cli(capsys, "table", "--mu", mu, "--A", "20")
+                assert code == EXIT_MISMATCH, (drift, mu)
+                assert err.startswith("mismatch at A=20: computed "), err
+                assert err.count("\n") == 1 and f"({name}_A20)" in err, err
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -248,9 +260,10 @@ class TestValidate:
         assert code == EXIT_OK
         got = [(c["name"], c["group"], c["tolerance"], c["status"])
                for c in json.loads(out)["checks"]]
+        eps = sys.float_info.epsilon
         exact = [(f"{n}_A{a}", t) for a in (20, 30, 40, 50, 100, 500, 1000, 10000)
-                 for n, t in (("eigenvalue", 1e-10), ("lambda_order1", 1e-9),
-                              ("lambda_order2", 1e-9), ("lambda_order3", 1e-9))]
+                 for n, t in (("eigenvalue", 2 * eps * a / 8), ("lambda_order1", 2 * eps),
+                              ("lambda_order2", 2 * eps), ("lambda_order3", 2 * eps))]
         exact += [(f"{n}_mu{mu}_A{a}", t) for mu in ("0.5", "1.0", "1.5") for a in (5, 20, 100)
                   for n, t in (("normalization", 1e-10), ("boundary_flux", 3e-12))]
         identities = [(f"integral_identity_{bz}", 1e-10)
